@@ -7,13 +7,11 @@ results for the dephasing-coupling model and independent numerical oracles.
 """
 
 from .channels import (
-    DephasingCouplingModel,
     DilatedEvolution,
     KrausSet,
     apply_channel,
     build_dephasing_model,
     evolve,
-    finite_difference_generator,
     generator,
     kraus_from_dilation,
 )

@@ -118,46 +118,28 @@ class KrausSet:
         return self.operators[0].dim
 
 
-@dataclass(frozen=True)
-class DephasingCouplingModel:
-    """N system qubits, each coupled to its own environment qubit.
+def build_dephasing_model(n: int, omega0: float, gamma: float) -> DilatedEvolution:
+    """Dilation with N system qubits each dephasing-coupled to one
+    environment qubit (system block first, then environment block).
 
     Per pair the evolution is a local Z rotation at rate ``omega0`` followed
     by a ZX coupling at rate ``gamma``; all 2N rotation terms commute, so the
     ordering is immaterial.
     """
-
-    n: int
-    omega0: float
-    gamma: float
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("need at least one qubit pair")
-        if not (np.isfinite(self.omega0) and np.isfinite(self.gamma)):
-            raise ValueError("rates must be finite")
-
-    @property
-    def labels(self) -> tuple[Subsystem, ...]:
-        return (SYSTEM,) * self.n + (ENVIRONMENT,) * self.n
-
-    def dilation(self) -> DilatedEvolution:
-        width = 2 * self.n
-        rotations = []
-        for i in range(self.n):
-            z_i = "I" * i + "Z" + "I" * (width - i - 1)
-            zx_i = list("I" * width)
-            zx_i[i] = "Z"
-            zx_i[self.n + i] = "X"
-            rotations.append((self.omega0, PauliTerm(1.0, z_i)))
-            rotations.append((self.gamma, PauliTerm(1.0, "".join(zx_i))))
-        return DilatedEvolution.from_rotations(self.labels, rotations)
-
-
-def build_dephasing_model(n: int, omega0: float, gamma: float) -> DilatedEvolution:
-    """Dilation with N system qubits each dephasing-coupled to one
-    environment qubit (system block first, then environment block)."""
-    return DephasingCouplingModel(n, omega0, gamma).dilation()
+    if n < 1:
+        raise ValueError("need at least one qubit pair")
+    if not (np.isfinite(omega0) and np.isfinite(gamma)):
+        raise ValueError("rates must be finite")
+    width = 2 * n
+    rotations = []
+    for i in range(n):
+        z_i = "I" * i + "Z" + "I" * (width - i - 1)
+        zx_i = list("I" * width)
+        zx_i[i] = "Z"
+        zx_i[n + i] = "X"
+        rotations.append((omega0, PauliTerm(1.0, z_i)))
+        rotations.append((gamma, PauliTerm(1.0, "".join(zx_i))))
+    return DilatedEvolution.from_rotations((SYSTEM,) * n + (ENVIRONMENT,) * n, rotations)
 
 
 def evolve(u: DilatedEvolution, state: StateVector, t: float) -> StateVector:
@@ -219,45 +201,13 @@ def apply_channel(kraus: KrausSet, rho: DenseOperator) -> DenseOperator:
     return DenseOperator(out)
 
 
-def finite_difference_generator(
-    u_of_t, h: float, residual_tol: float = 1e-6
-) -> DenseOperator:
-    """Hermitian generator of a unitary family from a central difference.
-
-    Evaluates G = i (U(h) - U(-h)) / (2h) with one level of Richardson
-    extrapolation, so the truncation error is O(h^4).  A non-Hermitian
-    residue above ``residual_tol`` means the family does not satisfy
-    U(0) = I with a Hermitian generator, and raises.
-    """
-
-    def estimate(step: float) -> np.ndarray:
-        return 1j * (u_of_t(step) - u_of_t(-step)) / (2.0 * step)
-
-    d1 = estimate(h)
-    d2 = estimate(h / 2.0)
-    gen = (4.0 * d2 - d1) / 3.0
-    residue = float(np.abs(gen - gen.conj().T).max())
-    if residue > residual_tol:
-        raise HermiticityError(
-            f"finite-difference generator has non-Hermitian residue {residue:.3e}"
-        )
-    return DenseOperator((gen + gen.conj().T) / 2.0)
-
-
-def generator(u: DilatedEvolution, dense_cap: int = DENSE_QUBIT_CAP):
-    """Hermitian generator G with U(t) = exp(-i G t) at t -> 0.
+def generator(u: DilatedEvolution):
+    """Hermitian generator G with U(t) = exp(-i G t).
 
     Rotation-list dilations yield the exact Pauli sum of rate/2-weighted
-    strings.  Dense dilations are differentiated numerically with step
-    1e-4 over the fastest rate.
+    strings; dense dilations return the generator they hold.
     """
     if u.rotations is not None:
         terms = [PauliTerm(rate / 2.0, p.factors) for rate, p in u.rotations]
         return OperatorSum(terms, hermitian=True, n_qubits=u.n_qubits)
-    check_dense_cap(u.n_qubits, dense_cap)
-    rates = np.abs(np.linalg.eigvalsh(u.dense_generator.matrix))
-    fastest = float(rates.max()) if rates.size else 0.0
-    h = 1e-4 / max(fastest, 1e-12)
-    return finite_difference_generator(
-        lambda t: hermitian_expm(u.dense_generator, t).matrix, h
-    )
+    return u.dense_generator

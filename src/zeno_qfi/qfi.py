@@ -13,11 +13,11 @@ expressions for the dephasing-coupling model as independent checks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import cos, isfinite, sin, sqrt
+from math import cos, isfinite, sin
 
 import numpy as np
 
-from .channels import DilatedEvolution, generator
+from .channels import DilatedEvolution, _embedded_basis_indices, generator
 from .dense import (
     DENSE_QUBIT_CAP,
     DenseOperator,
@@ -33,19 +33,19 @@ from .exceptions import (
 from .paulis import (
     OperatorSum,
     PauliTerm,
-    apply_operator,
+    _applied_vector,
     pauli_product,
     paulis_commute,
     to_dense,
+    variance,
 )
 from .states import (
     ENVIRONMENT,
     SYSTEM,
     StateVector,
     Subsystem,
-    register_order,
 )
-from .zeno import ZenoProjector, ZenoSchedule, survival_probability_exact
+from .zeno import ZenoProjector, ZenoSchedule, survival_probability_exact, zeno_time
 
 POLE_TOL = 1e-8
 GRAM_CUTOFF = 1e-10
@@ -172,20 +172,9 @@ class AnalyticParams:
             raise ValueError("rates must be finite")
 
 
-def _applied(op, state: StateVector) -> np.ndarray:
-    if isinstance(op, DenseOperator):
-        if op.dim != state.dim:
-            raise DimensionMismatchError("operator does not match state size")
-        return op.matrix @ state.amplitudes
-    return apply_operator(op, state).amplitudes
-
-
 def qfi_upper_bound(h_prime, psi_full: StateVector) -> float:
     """Channel-information bound 4 Var(H') on the enlarged register."""
-    vec = _applied(h_prime, psi_full)
-    mean = float(np.vdot(psi_full.amplitudes, vec).real)
-    second = float(np.vdot(vec, vec).real)
-    return 4.0 * max(second - mean**2, 0.0)
+    return 4.0 * variance(h_prime, psi_full)
 
 
 def _mutually_commuting(op: OperatorSum) -> bool:
@@ -237,6 +226,35 @@ def conjugate_env_operator(
     return DenseOperator(u.matrix.conj().T @ h_mat @ u.matrix)
 
 
+def _normal_equations(h_hat, basis, psi_full: StateVector, tau, dense_cap=DENSE_QUBIT_CAP):
+    """Quadratic form of Var(H_hat + sum_k c_k h'_k) in the coefficients c.
+
+    Returns H_hat|psi>, the conjugated basis applied to the state stacked
+    as a k x 2^n array V, the Gram matrix Re(V* V^T) - outer(means, means)
+    of covariances, and the cross covariances with H_hat.
+    """
+    amps = psi_full.amplitudes
+    base_vec = _applied_vector(h_hat, psi_full)
+    vecs = np.empty((len(basis.elements), amps.size), dtype=np.complex128)
+    for k, h in enumerate(basis.elements):
+        conjugated = conjugate_env_operator(h, h_hat, tau, dense_cap)
+        vecs[k] = _applied_vector(conjugated, psi_full)
+    bra = vecs.conj()
+    means = (bra @ amps).real
+    base_mean = float(np.vdot(amps, base_vec).real)
+    gram = (bra @ vecs.T).real - np.outer(means, means)
+    cross = (bra @ base_vec).real - base_mean * means
+    return base_vec, vecs, gram, cross
+
+
+def _bound_at(coeff, base_vec, vecs, psi_full: StateVector) -> float:
+    """4 Var(H_hat + sum_k c_k h'_k) from the applied vectors."""
+    combined = base_vec + coeff @ vecs
+    mean = float(np.vdot(psi_full.amplitudes, combined).real)
+    var = float(np.vdot(combined, combined).real) - mean**2
+    return 4.0 * max(var, 0.0)
+
+
 def minimize_qfi_bound(
     h_hat,
     basis: EnvOperatorBasis,
@@ -252,76 +270,18 @@ def minimize_qfi_bound(
     with singular values below 1e-10 of the largest treated as zero; the
     raw condition number is reported for diagnostics.
     """
-    conjugated = [
-        conjugate_env_operator(h, h_hat, tau, dense_cap) for h in basis.elements
-    ]
-    amps = psi_full.amplitudes
-    base_vec = _applied(h_hat, psi_full)
-    base_mean = float(np.vdot(amps, base_vec).real)
-    vecs = [_applied(op, psi_full) for op in conjugated]
-    means = np.array([float(np.vdot(amps, v).real) for v in vecs])
-
-    k = len(vecs)
-    gram = np.empty((k, k))
-    cross = np.empty(k)
-    for i in range(k):
-        cross[i] = float(np.vdot(base_vec, vecs[i]).real) - base_mean * means[i]
-        for j in range(i, k):
-            cov = float(np.vdot(vecs[i], vecs[j]).real) - means[i] * means[j]
-            gram[i, j] = gram[j, i] = cov
-
+    base_vec, vecs, gram, cross = _normal_equations(h_hat, basis, psi_full, tau, dense_cap)
     u, s, vt = np.linalg.svd(gram, hermitian=True)
     s_max = float(s.max(initial=0.0))
     if s_max == 0.0:
-        coeff = np.zeros(k)
+        coeff = np.zeros(len(cross))
         condition = float("inf")
     else:
         inv = np.where(s > GRAM_CUTOFF * s_max, 1.0 / np.where(s > 0, s, 1.0), 0.0)
         coeff = -(vt.T @ (inv * (u.T @ cross)))
         s_min = float(s.min())
         condition = s_max / s_min if s_min > 0 else float("inf")
-
-    combined = base_vec + sum(c * v for c, v in zip(coeff, vecs))
-    mean = base_mean + float(coeff @ means)
-    var = float(np.vdot(combined, combined).real) - mean**2
-    return VariationalSolution(coeff, 4.0 * max(var, 0.0), condition)
-
-
-def _minimize_by_gradient_descent(
-    h_hat,
-    basis: EnvOperatorBasis,
-    psi_full: StateVector,
-    tau: float,
-    steps: int = 2000,
-    learning_rate: float = 0.05,
-) -> VariationalSolution:
-    """Plain gradient descent on the same quadratic; debug cross-check only."""
-    conjugated = [
-        conjugate_env_operator(h, h_hat, tau) for h in basis.elements
-    ]
-    amps = psi_full.amplitudes
-    base_vec = _applied(h_hat, psi_full)
-    base_mean = float(np.vdot(amps, base_vec).real)
-    vecs = [_applied(op, psi_full) for op in conjugated]
-    means = np.array([float(np.vdot(amps, v).real) for v in vecs])
-    k = len(vecs)
-    gram = np.array(
-        [
-            [float(np.vdot(vecs[i], vecs[j]).real) - means[i] * means[j] for j in range(k)]
-            for i in range(k)
-        ]
-    )
-    cross = np.array(
-        [float(np.vdot(base_vec, vecs[i]).real) - base_mean * means[i] for i in range(k)]
-    )
-    scale = max(float(np.abs(gram).max()), 1.0)
-    coeff = np.zeros(k)
-    for _ in range(steps):
-        coeff = coeff - learning_rate * (gram @ coeff + cross) / scale
-    combined = base_vec + sum(c * v for c, v in zip(coeff, vecs))
-    mean = base_mean + float(coeff @ means)
-    var = float(np.vdot(combined, combined).real) - mean**2
-    return VariationalSolution(coeff, 4.0 * max(var, 0.0), float("nan"))
+    return VariationalSolution(coeff, _bound_at(coeff, base_vec, vecs, psi_full), condition)
 
 
 def optimal_env_coefficients(p: AnalyticParams) -> tuple[float, float, float]:
@@ -399,18 +359,16 @@ def zeno_time_bound(
     The entangled family uses the exact finite-N formula unless
     ``asymptotic`` selects the flagged large-N cotangent variant.
     """
-    if m < 1:
-        raise ValueError("need at least one measurement")
     if entangled:
         fq = qfi_ghz_large_n(p) if asymptotic else qfi_ghz(p)
     else:
         if asymptotic:
             raise ValueError("the separable bound has no separate large-N variant")
         fq = qfi_separable(p)
-    return 2.0 / sqrt(m * fq)
+    return zeno_time(m, fq)
 
 
-def _density_from_initial(initial, n_system: int) -> np.ndarray:
+def _density_from_initial(initial) -> np.ndarray:
     if isinstance(initial, StateVector):
         if initial.count(ENVIRONMENT):
             raise ValueError("initial state must live on system qubits only")
@@ -458,17 +416,15 @@ def qfi_sld_oracle(
         raise ValueError("dtau must be positive")
 
     labels = evolution.labels
-    gen = generator(evolution, dense_cap)
+    gen = generator(evolution)
     gen_mat = gen.matrix if isinstance(gen, DenseOperator) else to_dense(gen, dense_cap).matrix
     w, v = np.linalg.eigh(gen_mat)
 
-    n_sys = sum(1 for l in labels if l is SYSTEM)
-    d_sys = 2**n_sys
-    d_env = 2 ** (len(labels) - n_sys)
-    rho0 = _density_from_initial(initial, n_sys)
+    d_sys = 2 ** sum(1 for l in labels if l is SYSTEM)
+    rho0 = _density_from_initial(initial)
     if rho0.shape != (d_sys, d_sys):
         raise DimensionMismatchError("initial state does not match the system register")
-    embed = register_order(labels).reshape(d_sys, d_env)[:, 0]
+    embed = _embedded_basis_indices(labels)
     rho_full0 = np.zeros((2 ** len(labels),) * 2, dtype=np.complex128)
     rho_full0[np.ix_(embed, embed)] = rho0
 

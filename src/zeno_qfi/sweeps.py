@@ -34,7 +34,7 @@ from .qfi import (
     qfi_sld_oracle,
     zeno_time_bound,
 )
-from .states import SYSTEM, StateVector, ghz_state, plus_state, tensor_state, zero_environment
+from .states import SYSTEM, basis_state, ghz_state, plus_state, tensor_state, zero_environment
 from .zeno import (
     ZenoProjector,
     ZenoSchedule,
@@ -106,6 +106,15 @@ class SweepConfig:
             if not ns or any(n < 1 for n in ns):
                 raise ConfigError("N_list must be a nonempty list of positive integers")
             object.__setattr__(self, "n_list", ns)
+        if not isinstance(self.tolerances, dict):
+            raise ConfigError("tolerances must be an object mapping names to numbers")
+        for name, value in self.tolerances.items():
+            if name not in DEFAULT_TOLERANCES:
+                known = ", ".join(DEFAULT_TOLERANCES)
+                raise ConfigError(f"unknown tolerance {name!r}; expected one of {known}")
+            number = isinstance(value, (int, float)) and not isinstance(value, bool)
+            if not (number and math.isfinite(value)):
+                raise ConfigError(f"tolerance {name!r} must be a finite number")
 
     def resolved(self) -> "SweepConfig":
         """Fill per-mode defaults for any grid left unspecified."""
@@ -201,17 +210,44 @@ def _json_cell(value):
     return value
 
 
-def _all_finite(values) -> bool:
-    return all(math.isfinite(float(v)) for v in values)
+def _grid_table(columns, n_values, cfg: SweepConfig, row) -> tuple[Table, dict]:
+    """One row ``row(p)`` per (N, gamma) grid point, in grid order.
+
+    A point where a formula sits on a pole or yields a non-finite value is
+    skipped with a note.  Also returns the gamma values kept for each N.
+    """
+    table = Table(columns=columns, rows=[])
+    kept: dict[int, list[float]] = {}
+    for n in n_values:
+        kept[n] = []
+        for g in cfg.gamma_over_omega0:
+            skipped = f"row skipped (N={n}, gamma_over_omega0={g:g})"
+            try:
+                values = row(AnalyticParams(n=n, omega0=1.0, gamma=g, tau=cfg.omega0_tau))
+            except PoleProximityError as exc:
+                table.notes.append(f"{skipped}: {exc}")
+                continue
+            if not all(math.isfinite(float(v)) for v in values):
+                table.notes.append(f"{skipped}: non-finite value")
+                continue
+            table.rows.append(values)
+            kept[n].append(g)
+    return table, kept
+
+
+def _ratio_row(p: AnalyticParams) -> tuple:
+    f_en = qfi_ghz(p)
+    f_se = qfi_separable(p)
+    asym = qfi_ratio_asymptote(p)
+    return (p.n, p.gamma, f_en, f_se, f_en / f_se, asym)
 
 
 def run_ratio_vs_n(cfg: SweepConfig) -> Table:
     """Entangled/separable QFI ratio against qubit number, per gamma ratio,
     with the large-N asymptote alongside.  Rows are sorted by N."""
     cfg = cfg.resolved()
-    tau = cfg.omega0_tau
-    table = Table(
-        columns=(
+    table, _ = _grid_table(
+        (
             "N[qubits]",
             "gamma_over_omega0[1]",
             "qfi_entangled_over_omega0sq[1]",
@@ -219,27 +255,10 @@ def run_ratio_vs_n(cfg: SweepConfig) -> Table:
             "ratio_entangled_over_separable[1]",
             "ratio_asymptote[1]",
         ),
-        rows=[],
+        sorted(dict.fromkeys(cfg.n_list)),
+        cfg,
+        _ratio_row,
     )
-    for n in sorted(dict.fromkeys(cfg.n_list)):
-        for g in cfg.gamma_over_omega0:
-            p = AnalyticParams(n=n, omega0=1.0, gamma=g, tau=tau)
-            try:
-                f_en = qfi_ghz(p)
-                f_se = qfi_separable(p)
-                asym = qfi_ratio_asymptote(p)
-            except PoleProximityError as exc:
-                table.notes.append(
-                    f"row skipped (N={n}, gamma_over_omega0={g:g}): {exc}"
-                )
-                continue
-            values = (f_en, f_se, f_en / f_se, asym)
-            if not _all_finite(values):
-                table.notes.append(
-                    f"row skipped (N={n}, gamma_over_omega0={g:g}): non-finite value"
-                )
-                continue
-            table.rows.append((n, g) + values)
     return table
 
 
@@ -266,35 +285,17 @@ def run_qfi_vs_gamma(cfg: SweepConfig) -> Table:
     variational solver as a consistency check."""
     cfg = cfg.resolved()
     tau = cfg.omega0_tau
-    table = Table(
-        columns=(
+    table, usable_gammas = _grid_table(
+        (
             "N[qubits]",
             "gamma_over_omega0[1]",
             "qfi_entangled_over_omega0sq[1]",
             "qfi_separable_over_omega0sq[1]",
         ),
-        rows=[],
+        cfg.n_list,
+        cfg,
+        lambda p: (p.n, p.gamma, qfi_ghz(p), qfi_separable(p)),
     )
-    usable_gammas: dict[int, list[float]] = {}
-    for n in cfg.n_list:
-        usable_gammas[n] = []
-        for g in cfg.gamma_over_omega0:
-            p = AnalyticParams(n=n, omega0=1.0, gamma=g, tau=tau)
-            try:
-                f_en = qfi_ghz(p)
-                f_se = qfi_separable(p)
-            except PoleProximityError as exc:
-                table.notes.append(
-                    f"row skipped (N={n}, gamma_over_omega0={g:g}): {exc}"
-                )
-                continue
-            if not _all_finite((f_en, f_se)):
-                table.notes.append(
-                    f"row skipped (N={n}, gamma_over_omega0={g:g}): non-finite value"
-                )
-                continue
-            table.rows.append((n, g, f_en, f_se))
-            usable_gammas[n].append(g)
 
     rng = np.random.default_rng(cfg.seed)
     for n in cfg.n_list:
@@ -318,9 +319,8 @@ def run_zeno_time(cfg: SweepConfig) -> Table:
     """Zeno-time upper bounds (units of 1/omega0) for both state families
     over the (N, gamma) grid at the configured measurement count."""
     cfg = cfg.resolved()
-    tau = cfg.omega0_tau
-    table = Table(
-        columns=(
+    table, _ = _grid_table(
+        (
             "N[qubits]",
             "m[1]",
             "gamma_over_omega0[1]",
@@ -328,27 +328,17 @@ def run_zeno_time(cfg: SweepConfig) -> Table:
             "tau_qz_entangled_largeN[1/omega0]",
             "tau_qz_separable[1/omega0]",
         ),
-        rows=[],
+        cfg.n_list,
+        cfg,
+        lambda p: (
+            p.n,
+            cfg.m,
+            p.gamma,
+            zeno_time_bound(p, cfg.m, entangled=True),
+            zeno_time_bound(p, cfg.m, entangled=True, asymptotic=True),
+            zeno_time_bound(p, cfg.m, entangled=False),
+        ),
     )
-    for n in cfg.n_list:
-        for g in cfg.gamma_over_omega0:
-            p = AnalyticParams(n=n, omega0=1.0, gamma=g, tau=tau)
-            try:
-                t_en = zeno_time_bound(p, cfg.m, entangled=True)
-                t_en_inf = zeno_time_bound(p, cfg.m, entangled=True, asymptotic=True)
-                t_se = zeno_time_bound(p, cfg.m, entangled=False)
-            except PoleProximityError as exc:
-                table.notes.append(
-                    f"row skipped (N={n}, gamma_over_omega0={g:g}): {exc}"
-                )
-                continue
-            values = (t_en, t_en_inf, t_se)
-            if not _all_finite(values):
-                table.notes.append(
-                    f"row skipped (N={n}, gamma_over_omega0={g:g}): non-finite value"
-                )
-                continue
-            table.rows.append((n, cfg.m, g) + values)
     return table
 
 
@@ -430,22 +420,18 @@ def _check_kraus_completeness(tol: float) -> VerifyCheck:
 def _check_channel_vs_partial_trace(tol: float, seed: int) -> VerifyCheck:
     rng = np.random.default_rng(seed)
     model = build_dephasing_model(1, 1.0, 1.0)
-    embed = np.array([0, 2])  # |s>|0> indices for the 2+2-dim register
+    # The environment starts in |0>, so U rho U^dag on the register needs
+    # only the columns U|s,0>: it is cols rho cols^dag.
+    env0 = zero_environment(1)
+    embedded = [tensor_state(basis_state(s, (SYSTEM,)), env0) for s in range(2)]
     worst = 0.0
     for _ in range(50):
         rho = _random_density(rng, 2)
         t = float(rng.uniform(1e-3, 2 * math.pi))
         via_kraus = apply_channel(kraus_from_dilation(model, t), rho).matrix
-        rho_full = np.zeros((4, 4), dtype=np.complex128)
-        rho_full[np.ix_(embed, embed)] = rho.matrix
-        cols = []
-        for s in range(4):
-            e = np.zeros(4, dtype=np.complex128)
-            e[s] = 1.0
-            cols.append(evolve(model, StateVector(e, model.labels), t).amplitudes)
-        u = np.column_stack(cols)
+        cols = np.column_stack([evolve(model, e, t).amplitudes for e in embedded])
         via_trace = partial_trace(
-            DenseOperator(u @ rho_full @ u.conj().T), model.labels, SYSTEM
+            DenseOperator(cols @ rho.matrix @ cols.conj().T), model.labels, SYSTEM
         ).matrix
         worst = max(worst, float(np.abs(via_kraus - via_trace).max()))
     return VerifyCheck(

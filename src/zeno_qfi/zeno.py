@@ -98,7 +98,8 @@ def _measured_trajectory(
     for _ in range(schedule.m):
         state = evolve(u, state, schedule.tau)
         amps, weight = _project_system(state, projector.psi0)
-        probability *= weight
+        # The captured weight is a probability; above 1 it is rounding.
+        probability *= min(weight, 1.0)
         if probability <= 0.0 or weight < 1e-300:
             return 0.0, None
         state = StateVector(amps / sqrt(weight), state.labels)

@@ -2,13 +2,11 @@ import numpy as np
 import pytest
 
 from zeno_qfi.channels import (
-    DephasingCouplingModel,
     DilatedEvolution,
     KrausSet,
     apply_channel,
     build_dephasing_model,
     evolve,
-    finite_difference_generator,
     generator,
     kraus_from_dilation,
 )
@@ -61,6 +59,23 @@ def dense_unitary(u, t):
     return np.column_stack(cols)
 
 
+def finite_difference_generator(u_of_t, h, residual_tol=1e-6):
+    """Oracle: Hermitian generator of a unitary family from a central
+    difference with one Richardson step, G = i (U(h) - U(-h)) / 2h + O(h^4).
+    A non-Hermitian residue above ``residual_tol`` raises."""
+
+    def estimate(step):
+        return 1j * (u_of_t(step) - u_of_t(-step)) / (2.0 * step)
+
+    gen = (4.0 * estimate(h / 2.0) - estimate(h)) / 3.0
+    residue = float(np.abs(gen - gen.conj().T).max())
+    if residue > residual_tol:
+        raise HermiticityError(
+            f"finite-difference generator has non-Hermitian residue {residue:.3e}"
+        )
+    return (gen + gen.conj().T) / 2.0
+
+
 def random_density(rng, dim):
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     rho = a @ a.conj().T
@@ -88,7 +103,7 @@ def test_model_rejects_bad_sizes():
     with pytest.raises(ValueError):
         build_dephasing_model(0, 1.0, 1.0)
     with pytest.raises(ValueError):
-        DephasingCouplingModel(1, np.inf, 0.0)
+        build_dephasing_model(1, np.inf, 0.0)
 
 
 def test_decoupled_model_leaves_environment_alone():
@@ -330,8 +345,8 @@ def test_generator_closed_system_limit():
 
 
 def test_generator_dense_round_trip():
-    """Finite-difference extraction from exp(-iGt) recovers a random
-    2-qubit G to 1e-7."""
+    """A dense dilation returns the generator it holds, and finite-difference
+    extraction from exp(-iGt) recovers that random 2-qubit G to 1e-7."""
     rng = np.random.default_rng(59)
     a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     g = (a + a.conj().T) / 2
@@ -339,8 +354,13 @@ def test_generator_dense_round_trip():
         (SYSTEM, ENVIRONMENT), DenseOperator(g)
     )
     recovered = generator(dilation)
-    assert isinstance(recovered, DenseOperator)
-    assert np.abs(recovered.matrix - g).max() <= 1e-7
+    assert recovered is dilation.dense_generator
+    np.testing.assert_array_equal(recovered.matrix, g)
+    fastest = float(np.abs(np.linalg.eigvalsh(g)).max())
+    estimated = finite_difference_generator(
+        lambda t: eigh_expm(g, t), 1e-4 / fastest
+    )
+    assert np.abs(estimated - recovered.matrix).max() <= 1e-7
 
 
 def test_finite_difference_rejects_non_unitary_family():

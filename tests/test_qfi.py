@@ -10,7 +10,9 @@ from zeno_qfi.paulis import OperatorSum, PauliTerm, to_dense
 from zeno_qfi.qfi import (
     AnalyticParams,
     EnvOperatorBasis,
-    _minimize_by_gradient_descent,
+    VariationalSolution,
+    _bound_at,
+    _normal_equations,
     conjugate_env_operator,
     fisher_from_survival,
     minimize_qfi_bound,
@@ -48,6 +50,21 @@ def ghz_input(n):
 
 def product_input(n):
     return tensor_state(plus_state(n), zero_environment(n))
+
+
+def minimize_by_gradient_descent(
+    h_hat, basis, psi_full, tau, steps=2000, learning_rate=0.05
+):
+    """Oracle: plain gradient descent on the solver's own quadratic, so only
+    the solve differs from minimize_qfi_bound."""
+    base_vec, vecs, gram, cross = _normal_equations(h_hat, basis, psi_full, tau)
+    scale = max(float(np.abs(gram).max()), 1.0)
+    coeff = np.zeros(len(cross))
+    for _ in range(steps):
+        coeff = coeff - learning_rate * (gram @ coeff + cross) / scale
+    return VariationalSolution(
+        coeff, _bound_at(coeff, base_vec, vecs, psi_full), float("nan")
+    )
 
 
 def true_ghz_qfi(n, omega0, gamma, tau):
@@ -201,7 +218,7 @@ def test_gradient_descent_cross_check():
     model, h_hat = model_setup(1, 1.0, 1.0)
     basis = EnvOperatorBasis.single_qubit_paulis(model.labels)
     exact = minimize_qfi_bound(h_hat, basis, product_input(1), 0.5)
-    descent = _minimize_by_gradient_descent(h_hat, basis, product_input(1), 0.5)
+    descent = minimize_by_gradient_descent(h_hat, basis, product_input(1), 0.5)
     assert descent.qfi == pytest.approx(exact.qfi, rel=1e-8)
     np.testing.assert_allclose(descent.coefficients, exact.coefficients, atol=1e-6)
 

@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import zeno_qfi
 from zeno_qfi.cli import run
 from zeno_qfi.exceptions import ConfigError
 from zeno_qfi.qfi import AnalyticParams, qfi_ghz, qfi_separable
@@ -17,11 +20,17 @@ from zeno_qfi.sweeps import (
 )
 
 
+# The child process imports the same zeno_qfi as this one, installed or not.
+PACKAGE_ROOT = str(Path(zeno_qfi.__file__).resolve().parents[1])
+
+
 def cli(*argv):
+    path = os.pathsep.join(filter(None, (PACKAGE_ROOT, os.environ.get("PYTHONPATH"))))
     return subprocess.run(
         [sys.executable, "-m", "zeno_qfi", *argv],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
 
 
@@ -66,6 +75,21 @@ def test_config_from_dict_maps_n_list():
 def test_config_rejects_unknown_keys():
     with pytest.raises(ConfigError, match="unknown"):
         SweepConfig.from_dict({"mode": "verify", "colour": "red"})
+
+
+def test_config_rejects_bad_tolerances():
+    for tolerances in (
+        {"solver_vs_sdl": 1e-30},
+        {"solver_vs_sld": float("nan")},
+        {"solver_vs_sld": float("inf")},
+        {"solver_vs_sld": "1e-5"},
+        {"solver_vs_sld": True},
+        [("solver_vs_sld", 1e-5)],
+    ):
+        with pytest.raises(ConfigError, match="toleran"):
+            SweepConfig(mode="verify", tolerances=tolerances)
+    cfg = SweepConfig(mode="verify", tolerances={"solver_vs_sld": 1e-6, "zeno_limit": 1})
+    assert cfg.tolerances == {"solver_vs_sld": 1e-6, "zeno_limit": 1}
 
 
 def test_float_format_is_twelve_significant_digits():
@@ -269,6 +293,15 @@ def test_cli_rejects_bad_config_file(tmp_path):
     path2.write_text(json.dumps({"mode": "verify", "wavelength": 7}))
     result = cli("--config", str(path2))
     assert result.returncode == 2
+
+
+def test_cli_rejects_misspelled_tolerance_key(tmp_path, capsys):
+    path = tmp_path / "typo.json"
+    path.write_text(json.dumps({"mode": "verify", "tolerances": {"solver_vs_sdl": 1e-30}}))
+    assert run(["--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert "solver_vs_sdl" in captured.err
+    assert "verification" not in captured.out
 
 
 def test_cli_flags_override_config(tmp_path):
