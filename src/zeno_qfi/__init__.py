@@ -24,7 +24,6 @@ from .dense import (
 )
 from .exceptions import (
     ConfigError,
-    ConvergenceError,
     DenseCapError,
     DimensionMismatchError,
     HermiticityError,

@@ -163,6 +163,19 @@ def _embedded_basis_indices(labels: tuple[Subsystem, ...]) -> np.ndarray:
     return order.reshape(d_sys, 2**n_env)[:, 0]
 
 
+def _evolved_columns(
+    u: DilatedEvolution, columns: np.ndarray, t: float
+) -> list[StateVector]:
+    """U(t) (f_k x |0...0>_E) for each column f_k of a system-space matrix."""
+    embed = _embedded_basis_indices(u.labels)
+    evolved = []
+    for f in columns.T:
+        amps = np.zeros(2**u.n_qubits, dtype=np.complex128)
+        amps[embed] = f
+        evolved.append(evolve(u, StateVector(amps, u.labels), t))
+    return evolved
+
+
 def kraus_from_dilation(
     u: DilatedEvolution, t: float, dense_cap: int = DENSE_QUBIT_CAP
 ) -> KrausSet:
@@ -174,17 +187,12 @@ def kraus_from_dilation(
     """
     check_dense_cap(u.n_qubits, dense_cap)
     d_sys = 2 ** sum(1 for l in u.labels if l is SYSTEM)
-    d_env = 2 ** sum(1 for l in u.labels if l is ENVIRONMENT)
-    columns = _embedded_basis_indices(u.labels)
     # stacked[s, s', l] = <s', l| U |s, 0>
-    stacked = np.empty((d_sys, d_sys, d_env), dtype=np.complex128)
-    for s in range(d_sys):
-        amps = np.zeros(2**u.n_qubits, dtype=np.complex128)
-        amps[columns[s]] = 1.0
-        evolved = evolve(u, StateVector(amps, u.labels), t)
-        stacked[s] = system_env_matrix(evolved)
+    stacked = np.stack(
+        [system_env_matrix(v) for v in _evolved_columns(u, np.eye(d_sys), t)]
+    )
     operators = []
-    for l in range(d_env):
+    for l in range(stacked.shape[2]):
         mat = stacked[:, :, l].T
         if np.linalg.norm(mat) >= KRAUS_PRUNE_TOL:
             operators.append(DenseOperator(mat))

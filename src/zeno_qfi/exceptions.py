@@ -21,9 +21,5 @@ class PoleProximityError(ValueError):
     """An analytic formula was evaluated too close to one of its poles."""
 
 
-class ConvergenceError(RuntimeError):
-    """A finite-difference estimate failed its step-halving check."""
-
-
 class ConfigError(ValueError):
     """A sweep configuration is malformed or incomplete."""

@@ -17,19 +17,9 @@ from math import cos, isfinite, sin
 
 import numpy as np
 
-from .channels import DilatedEvolution, _embedded_basis_indices, generator
-from .dense import (
-    DENSE_QUBIT_CAP,
-    DenseOperator,
-    check_dense_cap,
-    hermitian_expm,
-    partial_trace,
-)
-from .exceptions import (
-    ConvergenceError,
-    DimensionMismatchError,
-    PoleProximityError,
-)
+from .channels import DilatedEvolution, _evolved_columns, generator
+from .dense import DENSE_QUBIT_CAP, DenseOperator, check_dense_cap, hermitian_expm
+from .exceptions import DimensionMismatchError, PoleProximityError
 from .paulis import (
     OperatorSum,
     PauliTerm,
@@ -44,13 +34,13 @@ from .states import (
     SYSTEM,
     StateVector,
     Subsystem,
+    system_env_matrix,
 )
 from .zeno import ZenoProjector, ZenoSchedule, survival_probability_exact, zeno_time
 
 POLE_TOL = 1e-8
 GRAM_CUTOFF = 1e-10
 SLD_EIGENVALUE_FLOOR = 1e-10
-SLD_CONVERGENCE_TOL = 1e-5
 
 
 @dataclass(frozen=True, eq=False)
@@ -170,6 +160,9 @@ class AnalyticParams:
             raise ValueError("interval must be positive")
         if not (isfinite(self.omega0) and isfinite(self.gamma)):
             raise ValueError("rates must be finite")
+        # Also rejects tau = inf, since gamma * inf is inf or (gamma = 0) nan.
+        if not isfinite(self.gamma * self.tau):
+            raise ValueError("interval and gamma * interval must be finite")
 
 
 def qfi_upper_bound(h_prime, psi_full: StateVector) -> float:
@@ -368,14 +361,14 @@ def zeno_time_bound(
     return zeno_time(m, fq)
 
 
-def _density_from_initial(initial) -> np.ndarray:
+def _density_from_initial(initial) -> tuple[np.ndarray, np.ndarray]:
+    """System columns F and weights W with rho_0 = F W F^dag."""
     if isinstance(initial, StateVector):
         if initial.count(ENVIRONMENT):
             raise ValueError("initial state must live on system qubits only")
-        amps = initial.amplitudes
-        return np.outer(amps, amps.conj())
+        return initial.amplitudes[:, None], np.ones((1, 1))
     if isinstance(initial, DenseOperator):
-        return np.array(initial.matrix)
+        return np.eye(initial.dim), initial.matrix
     raise TypeError("initial must be a StateVector or DenseOperator")
 
 
@@ -383,70 +376,48 @@ def _sld_information(rho: np.ndarray, drho: np.ndarray) -> float:
     """QFI from the symmetric-logarithmic-derivative eigen expansion."""
     lam, vecs = np.linalg.eigh(rho)
     d = vecs.conj().T @ drho @ vecs
-    total = 0.0
-    for i in range(lam.size):
-        for j in range(lam.size):
-            denom = lam[i] + lam[j]
-            if denom > SLD_EIGENVALUE_FLOOR:
-                total += 2.0 * abs(d[i, j]) ** 2 / denom
-    return float(total)
+    denom = lam[:, None] + lam[None, :]
+    keep = denom > SLD_EIGENVALUE_FLOOR
+    return float(np.sum(2.0 * np.abs(d[keep]) ** 2 / denom[keep]))
 
 
 def qfi_sld_oracle(
     evolution: DilatedEvolution,
     initial,
     tau: float,
-    dtau: float | None = None,
     dense_cap: int = DENSE_QUBIT_CAP,
 ) -> float:
     """Channel QFI at interval tau from the mixed-state SLD formula.
 
-    The system (pure state or density matrix) is paired with the
-    environment in |0...0>, evolved densely under the dilation's generator,
-    and traced down to rho_S(t); the derivative is a central difference in
-    tau.  The estimate must agree with its half-step refinement to 1e-5
-    relative, and the refined value is returned.  This path is independent
-    of the variational solver and serves as its oracle.
+    The input rho_0 = F W F^dag (a pure state or a density matrix) is
+    paired with the environment in |0...0>, and each column f_k is evolved
+    on the register, giving V_k = U(tau)|f_k, 0> as a system x environment
+    matrix.  Then rho_S = sum W_kk' V_k V_k'^dag, and the derivative is
+    exact: dV_k is -i G V_k for the generator G, and
+    drho_S = X + X^dag with X = sum W_kk' dV_k V_k'^dag.  A rotation list
+    must commute, so that U(tau) = exp(-i G tau).  This path works in the
+    Schroedinger picture and is independent of the variational solver,
+    whose oracle it is.
     """
     check_dense_cap(evolution.n_qubits, dense_cap)
     if not tau > 0:
         raise ValueError("interval must be positive")
-    step = 1e-4 * tau if dtau is None else float(dtau)
-    if not step > 0:
-        raise ValueError("dtau must be positive")
-
-    labels = evolution.labels
-    gen = generator(evolution)
-    gen_mat = gen.matrix if isinstance(gen, DenseOperator) else to_dense(gen, dense_cap).matrix
-    w, v = np.linalg.eigh(gen_mat)
-
-    d_sys = 2 ** sum(1 for l in labels if l is SYSTEM)
-    rho0 = _density_from_initial(initial)
-    if rho0.shape != (d_sys, d_sys):
+    columns, weights = _density_from_initial(initial)
+    if columns.shape[0] != 2 ** sum(1 for l in evolution.labels if l is SYSTEM):
         raise DimensionMismatchError("initial state does not match the system register")
-    embed = _embedded_basis_indices(labels)
-    rho_full0 = np.zeros((2 ** len(labels),) * 2, dtype=np.complex128)
-    rho_full0[np.ix_(embed, embed)] = rho0
-
-    def rho_system(t: float) -> np.ndarray:
-        u = (v * np.exp(-1j * w * t)) @ v.conj().T
-        full = u @ rho_full0 @ u.conj().T
-        return partial_trace(DenseOperator(full), labels, SYSTEM).matrix
-
-    rho_mid = rho_system(tau)
-
-    def estimate(d: float) -> float:
-        drho = (rho_system(tau + d) - rho_system(tau - d)) / (2.0 * d)
-        return _sld_information(rho_mid, drho)
-
-    coarse = estimate(step)
-    fine = estimate(step / 2.0)
-    if abs(coarse - fine) > SLD_CONVERGENCE_TOL * max(abs(fine), 1e-12):
-        raise ConvergenceError(
-            f"SLD derivative did not converge: {coarse:.8e} vs {fine:.8e} "
-            f"at dtau {step:.3e}; reduce dtau"
-        )
-    return fine
+    gen = generator(evolution)
+    if isinstance(gen, OperatorSum) and not _mutually_commuting(gen):
+        raise ValueError("the exact derivative needs mutually commuting rotations")
+    evolved = _evolved_columns(evolution, columns, tau)
+    derivatives = [StateVector(-1j * _applied_vector(gen, e), e.labels) for e in evolved]
+    v = np.stack([system_env_matrix(e) for e in evolved])
+    dv = np.stack([system_env_matrix(d) for d in derivatives])
+    # conj_weighted[k] = sum_k' W_kk' V_k'^*, so rho_S[a, c] sums
+    # V_k[a, b] conj_weighted[k][c, b] over k and the environment index b.
+    conj_weighted = np.tensordot(weights, v.conj(), axes=1)
+    rho = np.tensordot(v, conj_weighted, axes=([0, 2], [0, 2]))
+    x = np.tensordot(dv, conj_weighted, axes=([0, 2], [0, 2]))
+    return _sld_information(rho, x + x.conj().T)
 
 
 def fisher_from_survival(

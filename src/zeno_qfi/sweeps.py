@@ -88,8 +88,8 @@ class SweepConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ConfigError(f"unknown mode {self.mode!r}; expected one of {MODES}")
-        if not (isinstance(self.omega0_tau, (int, float)) and self.omega0_tau > 0):
-            raise ConfigError("omega0_tau must be a positive number")
+        if not (isinstance(self.omega0_tau, (int, float)) and 0 < self.omega0_tau < math.inf):
+            raise ConfigError("omega0_tau must be a positive finite number")
         if self.format not in ("csv", "json"):
             raise ConfigError("format must be 'csv' or 'json'")
         if not (isinstance(self.m, int) and self.m >= 1):
@@ -101,8 +101,11 @@ class SweepConfig:
             if any(not math.isfinite(g) for g in gam):
                 raise ConfigError("gamma_over_omega0 values must be finite")
             object.__setattr__(self, "gamma_over_omega0", gam)
+        gammas = self.gamma_over_omega0 or _DEFAULT_GAMMA[self.mode]
+        if any(not math.isfinite(g * self.omega0_tau) for g in gammas):
+            raise ConfigError("gamma_over_omega0 * omega0_tau must be finite")
         if self.n_list is not None:
-            ns = tuple(int(n) for n in self.n_list)
+            ns = tuple(dict.fromkeys(int(n) for n in self.n_list))
             if not ns or any(n < 1 for n in ns):
                 raise ConfigError("N_list must be a nonempty list of positive integers")
             object.__setattr__(self, "n_list", ns)
@@ -255,7 +258,7 @@ def run_ratio_vs_n(cfg: SweepConfig) -> Table:
             "ratio_entangled_over_separable[1]",
             "ratio_asymptote[1]",
         ),
-        sorted(dict.fromkeys(cfg.n_list)),
+        sorted(cfg.n_list),
         cfg,
         _ratio_row,
     )

@@ -3,16 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from zeno_qfi.channels import build_dephasing_model, generator
-from zeno_qfi.dense import DenseOperator
-from zeno_qfi.exceptions import ConvergenceError, DenseCapError, PoleProximityError
+from zeno_qfi.channels import DilatedEvolution, build_dephasing_model, generator
+from zeno_qfi.dense import DENSE_QUBIT_CAP, DenseOperator
+from zeno_qfi.exceptions import DenseCapError, PoleProximityError
 from zeno_qfi.paulis import OperatorSum, PauliTerm, to_dense
 from zeno_qfi.qfi import (
+    SLD_EIGENVALUE_FLOOR,
     AnalyticParams,
     EnvOperatorBasis,
     VariationalSolution,
     _bound_at,
     _normal_equations,
+    _sld_information,
     conjugate_env_operator,
     fisher_from_survival,
     minimize_qfi_bound,
@@ -312,6 +314,13 @@ def test_solver_coefficients_match_closed_form(n):
 # ---- analytic formulas ----
 
 
+def test_params_reject_non_finite_phase():
+    with pytest.raises(ValueError, match="finite"):
+        AnalyticParams(n=1, omega0=1.0, gamma=1.0, tau=math.inf)
+    with pytest.raises(ValueError, match="finite"):
+        AnalyticParams(n=1, omega0=1.0, gamma=1e10, tau=1e300)
+
+
 def test_one_qubit_formula_limits():
     assert qfi_one_qubit(
         AnalyticParams(n=1, omega0=1.3, gamma=0.0, tau=0.7)
@@ -470,10 +479,59 @@ def test_oracle_accepts_density_matrix_input():
     assert via_density == pytest.approx(via_state, rel=1e-10)
 
 
-def test_oracle_convergence_guard():
-    model = build_dephasing_model(1, 1.0, 1.0)
-    with pytest.raises(ConvergenceError):
-        qfi_sld_oracle(model, plus_state(1), 0.5, dtau=2.0)
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
+def test_oracle_matches_rank_two_formula_up_to_eight_pairs(n):
+    """The exact derivative reaches the rank-2 closed form at rounding level,
+    also at N = 7 and 8 once the cap admits 16 qubits."""
+    omega0, gamma, tau = 1.0, 1.0, 0.5
+    cap = 16 if n > 6 else DENSE_QUBIT_CAP
+    model = build_dephasing_model(n, omega0, gamma)
+    oracle = qfi_sld_oracle(model, ghz_state(n), tau, dense_cap=cap)
+    assert oracle == pytest.approx(true_ghz_qfi(n, omega0, gamma, tau), rel=1e-10)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_oracle_dense_generator_matches_rotations(n):
+    """A dense-generator dilation of the same model, which bypasses the
+    Pauli kernel, gives the same oracle value on pure and mixed inputs."""
+    model = build_dephasing_model(n, 1.0, 0.8)
+    dense_model = DilatedEvolution.from_generator(model.labels, to_dense(generator(model)))
+    rng = np.random.default_rng(83)
+    a = rng.normal(size=(2**n, 2**n)) + 1j * rng.normal(size=(2**n, 2**n))
+    rho = a @ a.conj().T
+    for initial in (ghz_state(n), DenseOperator(rho / np.trace(rho))):
+        via_rotations = qfi_sld_oracle(model, initial, 0.5)
+        via_dense = qfi_sld_oracle(dense_model, initial, 0.5)
+        assert via_dense == pytest.approx(via_rotations, rel=1e-12)
+
+
+def test_sld_information_matches_double_loop():
+    """The masked sum equals the per-pair loop it replaced, also on a
+    rank-deficient state whose zero eigenvalues fall under the floor."""
+    rng = np.random.default_rng(89)
+    for rank in (1, 2, 4):
+        a = rng.normal(size=(4, rank)) + 1j * rng.normal(size=(4, rank))
+        rho = a @ a.conj().T
+        rho /= np.trace(rho).real
+        b = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        drho = b + b.conj().T
+        lam, vecs = np.linalg.eigh(rho)
+        d = vecs.conj().T @ drho @ vecs
+        loop = 0.0
+        for i in range(4):
+            for j in range(4):
+                if lam[i] + lam[j] > SLD_EIGENVALUE_FLOOR:
+                    loop += 2.0 * abs(d[i, j]) ** 2 / (lam[i] + lam[j])
+        assert _sld_information(rho, drho) == pytest.approx(loop, rel=1e-12)
+
+
+def test_oracle_rejects_non_commuting_rotations():
+    model = DilatedEvolution.from_rotations(
+        (SYSTEM, ENVIRONMENT),
+        ((1.0, PauliTerm(1.0, "ZI")), (1.0, PauliTerm(1.0, "XX"))),
+    )
+    with pytest.raises(ValueError, match="commuting"):
+        qfi_sld_oracle(model, plus_state(1), 0.5)
 
 
 def test_oracle_dense_cap():

@@ -325,3 +325,31 @@ def test_cli_writes_notes_to_stderr_not_stdout():
     assert result.returncode == 0
     assert "cross-check" in result.stderr
     assert "cross-check" not in result.stdout
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ratio-vs-N", "--omega0-tau", "inf", "--n", "1"],
+        ["zeno-time", "--omega0-tau", "1e300", "--gamma", "1e10", "--n", "1"],
+    ],
+)
+def test_cli_rejects_non_finite_phase(argv, capsys):
+    """omega0_tau = inf, or gamma * omega0_tau overflowing to inf, is a
+    config error rather than a traceback from the closed forms."""
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error:")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["qfi-vs-gamma", "--seed", "7"], ["zeno-time", "--gamma", "1", "--seed", "7"]],
+)
+def test_cli_drops_repeated_n(argv, capsys):
+    assert run(argv + ["--n", "3"]) == 0
+    once = capsys.readouterr()
+    assert run(argv + ["--n", "3", "3"]) == 0
+    twice = capsys.readouterr()
+    assert (twice.out, twice.err) == (once.out, once.err)
