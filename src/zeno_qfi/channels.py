@@ -24,7 +24,7 @@ from .exceptions import (
     HermiticityError,
     TracePreservationError,
 )
-from .paulis import OperatorSum, PauliTerm, pauli_rotation_apply
+from .paulis import OperatorSum, PauliTerm, _mutually_commuting, _rotate
 from .states import (
     ENVIRONMENT,
     SYSTEM,
@@ -147,20 +147,20 @@ def evolve(u: DilatedEvolution, state: StateVector, t: float) -> StateVector:
     if u.labels != state.labels:
         raise DimensionMismatchError("evolution register does not match the state")
     if u.rotations is not None:
-        out = state
+        # __post_init__ has checked the size and unit coefficient of every
+        # rotation, so the loop runs the kernel on raw arrays.
+        amps = state.amplitudes
         for rate, pauli in u.rotations:
-            out = pauli_rotation_apply(pauli, rate * t, out)
-        return out
+            amps = _rotate(pauli.factors, rate * t, amps)
+        return StateVector(amps, state.labels)
     unitary = hermitian_expm(u.dense_generator, t)
     return StateVector(unitary.matrix @ state.amplitudes, state.labels)
 
 
 def _embedded_basis_indices(labels: tuple[Subsystem, ...]) -> np.ndarray:
     """Full-register index of |s>_S |0...0>_E for each system index s."""
-    n_env = sum(1 for l in labels if l is ENVIRONMENT)
     d_sys = 2 ** sum(1 for l in labels if l is SYSTEM)
-    order = register_order(labels)
-    return order.reshape(d_sys, 2**n_env)[:, 0]
+    return register_order(labels).reshape(d_sys, -1)[:, 0]
 
 
 def _evolved_columns(
@@ -213,9 +213,14 @@ def generator(u: DilatedEvolution):
     """Hermitian generator G with U(t) = exp(-i G t).
 
     Rotation-list dilations yield the exact Pauli sum of rate/2-weighted
-    strings; dense dilations return the generator they hold.
+    strings; dense dilations return the generator they hold.  A rotation
+    list whose strings do not all commute raises ``ValueError``: its
+    ordered product is not exp(-i G t) for any such sum.
     """
     if u.rotations is not None:
         terms = [PauliTerm(rate / 2.0, p.factors) for rate, p in u.rotations]
-        return OperatorSum(terms, hermitian=True, n_qubits=u.n_qubits)
+        gen = OperatorSum(terms, hermitian=True, n_qubits=u.n_qubits)
+        if not _mutually_commuting(gen):
+            raise ValueError("generator needs mutually commuting rotations")
+        return gen
     return u.dense_generator

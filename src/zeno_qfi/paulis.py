@@ -1,15 +1,17 @@
 """Pauli-string operators and their action on state vectors.
 
-A Pauli string acts on a basis index by a bit flip (X, Y factors) and a
-sign depending on the bits under its Z and Y factors, so application costs
-O(2^n) per term with no dense matrix.  This is what carries registers past
-the dense cap.
+Seen as a (2,)*n tensor, a state is acted on by a Pauli string through
+array views: the axes under its X and Y factors are reversed, one half of
+each axis under a Z or Y factor is negated, and the whole is scaled by
+i^{n_Y}.  Application costs O(2^n) per term with no dense matrix and no
+index array.  This is what carries registers past the dense cap.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
+from itertools import combinations
 
 import numpy as np
 
@@ -91,6 +93,11 @@ def paulis_commute(f1: str, f2: str) -> bool:
         raise DimensionMismatchError("Pauli strings of unequal length")
     clashes = sum(1 for a, b in zip(f1, f2) if a != "I" and b != "I" and a != b)
     return clashes % 2 == 0
+
+
+def _mutually_commuting(op: OperatorSum) -> bool:
+    pairs = combinations(op.terms, 2)
+    return all(paulis_commute(a.factors, b.factors) for a, b in pairs)
 
 
 class OperatorSum:
@@ -179,30 +186,38 @@ class OperatorSum:
         return cls((PauliTerm(coefficient, factors),), hermitian=hermitian)
 
 
-def _apply_string(factors: str, amplitudes: np.ndarray) -> np.ndarray:
-    """Apply a unit-coefficient Pauli string by bit manipulation."""
-    n = len(factors)
-    flip = 0
-    sign_mask = 0
-    n_y = 0
-    for j, ch in enumerate(factors):
-        bit = 1 << (n - 1 - j)
-        if ch in ("X", "Y"):
-            flip |= bit
-        if ch in ("Y", "Z"):
-            sign_mask |= bit
-        if ch == "Y":
-            n_y += 1
-    idx = np.arange(amplitudes.size, dtype=np.int64)
-    parity = np.zeros(amplitudes.size, dtype=np.int64)
-    mask = sign_mask
-    while mask:
-        low = mask & -mask
-        parity ^= (idx >> (int(low).bit_length() - 1)) & 1
-        mask ^= low
-    phase = (1j**n_y) * (1.0 - 2.0 * parity)
-    out = np.empty_like(amplitudes)
-    out[idx ^ flip] = phase * amplitudes
+_ALL, _REVERSED = slice(None), slice(None, None, -1)
+# Z negates the half of its axis with bit 1; Y the half with bit 0, because
+# its flip has already moved bit 1 there.
+_NEGATED_HALF = {"Z": slice(1, 2), "Y": slice(0, 1)}
+
+
+@lru_cache(maxsize=256)
+def _string_plan(factors: str) -> tuple[tuple[slice, ...], tuple[tuple, ...], complex]:
+    """Index reversing the X, Y axes, negated half-slices (Z, Y), i^{n_Y}."""
+    flip = tuple(_REVERSED if ch in "XY" else _ALL for ch in factors)
+    negated = tuple(
+        (_ALL,) * j + (_NEGATED_HALF[ch],)
+        for j, ch in enumerate(factors)
+        if ch in _NEGATED_HALF
+    )
+    return flip, negated, 1j ** factors.count("Y")
+
+
+def _apply_string(factors: str, amplitudes: np.ndarray, scale: complex) -> np.ndarray:
+    """``scale`` times a unit-coefficient Pauli string applied to the
+    amplitudes, by flipping and negating axes of the (2,)*n tensor."""
+    flip, negated, phase = _string_plan(factors)
+    out = np.multiply(amplitudes.reshape((2,) * len(factors))[flip], scale * phase)
+    for half in negated:
+        np.multiply(out[half], -1.0, out=out[half])
+    return out.reshape(-1)
+
+
+def _rotate(factors: str, theta: float, amplitudes: np.ndarray) -> np.ndarray:
+    """exp(-i theta P / 2) applied to the amplitudes, using P^2 = I."""
+    out = _apply_string(factors, amplitudes, -1j * np.sin(theta / 2.0))
+    out += np.cos(theta / 2.0) * amplitudes
     return out
 
 
@@ -219,7 +234,7 @@ def apply_operator(op, state: StateVector) -> StateVector:
         )
     out = np.zeros_like(state.amplitudes)
     for t in op.terms:
-        out += t.coefficient * _apply_string(t.factors, state.amplitudes)
+        out += _apply_string(t.factors, state.amplitudes, t.coefficient)
     return StateVector(out, state.labels)
 
 
@@ -295,7 +310,4 @@ def pauli_rotation_apply(
         raise ValueError("pauli_rotation_apply needs a unit-coefficient Pauli string")
     if pauli.n_qubits != state.n_qubits:
         raise DimensionMismatchError("rotation string does not match register size")
-    rotated = np.cos(theta / 2.0) * state.amplitudes - 1j * np.sin(
-        theta / 2.0
-    ) * _apply_string(pauli.factors, state.amplitudes)
-    return StateVector(rotated, state.labels)
+    return StateVector(_rotate(pauli.factors, theta, state.amplitudes), state.labels)

@@ -24,6 +24,7 @@ from .paulis import (
     OperatorSum,
     PauliTerm,
     _applied_vector,
+    _mutually_commuting,
     pauli_product,
     paulis_commute,
     to_dense,
@@ -168,15 +169,6 @@ class AnalyticParams:
 def qfi_upper_bound(h_prime, psi_full: StateVector) -> float:
     """Channel-information bound 4 Var(H') on the enlarged register."""
     return 4.0 * variance(h_prime, psi_full)
-
-
-def _mutually_commuting(op: OperatorSum) -> bool:
-    terms = op.terms
-    return all(
-        paulis_commute(terms[i].factors, terms[j].factors)
-        for i in range(len(terms))
-        for j in range(i + 1, len(terms))
-    )
 
 
 def _conjugate_by_rotation(
@@ -394,8 +386,8 @@ def qfi_sld_oracle(
     on the register, giving V_k = U(tau)|f_k, 0> as a system x environment
     matrix.  Then rho_S = sum W_kk' V_k V_k'^dag, and the derivative is
     exact: dV_k is -i G V_k for the generator G, and
-    drho_S = X + X^dag with X = sum W_kk' dV_k V_k'^dag.  A rotation list
-    must commute, so that U(tau) = exp(-i G tau).  This path works in the
+    drho_S = X + X^dag with X = sum W_kk' dV_k V_k'^dag.  ``generator``
+    refuses a rotation list that does not commute.  This path works in the
     Schroedinger picture and is independent of the variational solver,
     whose oracle it is.
     """
@@ -406,8 +398,6 @@ def qfi_sld_oracle(
     if columns.shape[0] != 2 ** sum(1 for l in evolution.labels if l is SYSTEM):
         raise DimensionMismatchError("initial state does not match the system register")
     gen = generator(evolution)
-    if isinstance(gen, OperatorSum) and not _mutually_commuting(gen):
-        raise ValueError("the exact derivative needs mutually commuting rotations")
     evolved = _evolved_columns(evolution, columns, tau)
     derivatives = [StateVector(-1j * _applied_vector(gen, e), e.labels) for e in evolved]
     v = np.stack([system_env_matrix(e) for e in evolved])

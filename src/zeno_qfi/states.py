@@ -129,13 +129,9 @@ def tensor_state(a: StateVector, b: StateVector) -> StateVector:
     return StateVector(amps, a.labels + b.labels).normalized()
 
 
-def _subindex(indices: np.ndarray, positions: tuple[int, ...], n: int) -> np.ndarray:
-    """Bits of ``indices`` at the given qubit positions, packed MSB-first."""
-    out = np.zeros_like(indices)
-    k = len(positions)
-    for j, p in enumerate(positions):
-        out |= ((indices >> (n - 1 - p)) & 1) << (k - 1 - j)
-    return out
+def _system_env_axes(labels: tuple[Subsystem, ...]) -> tuple[int, ...]:
+    """Qubit positions of the system labels, then of the environment labels."""
+    return tuple(sorted(range(len(labels)), key=lambda i: labels[i] is ENVIRONMENT))
 
 
 def register_order(labels: tuple[Subsystem, ...]) -> np.ndarray:
@@ -146,29 +142,29 @@ def register_order(labels: tuple[Subsystem, ...]) -> np.ndarray:
     conventional system-block-first layout this is the identity.
     """
     n = len(labels)
-    idx = np.arange(2**n, dtype=np.int64)
-    sys_pos = tuple(i for i, l in enumerate(labels) if l is SYSTEM)
-    env_pos = tuple(i for i, l in enumerate(labels) if l is ENVIRONMENT)
-    s = _subindex(idx, sys_pos, n)
-    e = _subindex(idx, env_pos, n)
-    order = np.empty(2**n, dtype=np.int64)
-    order[(s << len(env_pos)) | e] = idx
-    return order
+    indices = np.arange(2**n, dtype=np.int64).reshape((2,) * n)
+    return indices.transpose(_system_env_axes(labels)).reshape(-1)
 
 
 def system_env_matrix(state: StateVector) -> np.ndarray:
-    """Amplitudes reshaped to a (system_dim, environment_dim) matrix."""
+    """Amplitudes reshaped to a (system_dim, environment_dim) matrix.
+
+    The result is read-only for every label order: a view of the state's
+    buffer for the system-block-first layout, a copy otherwise.
+    """
     d_s = 2 ** state.count(SYSTEM)
     d_e = 2 ** state.count(ENVIRONMENT)
-    order = register_order(state.labels)
-    return state.amplitudes[order].reshape(d_s, d_e)
+    tensor = state.amplitudes.reshape((2,) * state.n_qubits)
+    mat = tensor.transpose(_system_env_axes(state.labels)).reshape(d_s, d_e)
+    mat.setflags(write=False)
+    return mat
 
 
 def from_system_env_matrix(
     mat: np.ndarray, labels: tuple[Subsystem, ...]
 ) -> StateVector:
     """Inverse of :func:`system_env_matrix` for the given register."""
-    order = register_order(labels)
-    amps = np.empty(mat.size, dtype=np.complex128)
-    amps[order] = np.asarray(mat, dtype=np.complex128).ravel()
+    n = len(labels)
+    tensor = np.asarray(mat, dtype=np.complex128).reshape((2,) * n)
+    amps = tensor.transpose(np.argsort(_system_env_axes(labels))).reshape(-1)
     return StateVector(amps, labels)

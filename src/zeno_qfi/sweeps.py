@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
+from collections.abc import Iterable
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -71,6 +73,12 @@ DEFAULT_TOLERANCES = {
 }
 
 
+def _is_finite_number(value) -> bool:
+    """A finite real number; JSON ``true``/``false`` are not numbers here."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    return real and math.isfinite(value)
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     """One CLI invocation: mode, physical grid, and output destination."""
@@ -88,35 +96,33 @@ class SweepConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ConfigError(f"unknown mode {self.mode!r}; expected one of {MODES}")
-        if not (isinstance(self.omega0_tau, (int, float)) and 0 < self.omega0_tau < math.inf):
+        if not (_is_finite_number(self.omega0_tau) and self.omega0_tau > 0):
             raise ConfigError("omega0_tau must be a positive finite number")
         if self.format not in ("csv", "json"):
             raise ConfigError("format must be 'csv' or 'json'")
-        if not (isinstance(self.m, int) and self.m >= 1):
+        if not (isinstance(self.m, int) and not isinstance(self.m, bool) and self.m >= 1):
             raise ConfigError("m must be a positive integer")
         if self.gamma_over_omega0 is not None:
-            gam = tuple(float(g) for g in self.gamma_over_omega0)
-            if not gam:
-                raise ConfigError("gamma_over_omega0 must be nonempty")
-            if any(not math.isfinite(g) for g in gam):
-                raise ConfigError("gamma_over_omega0 values must be finite")
-            object.__setattr__(self, "gamma_over_omega0", gam)
+            gam = self.gamma_over_omega0
+            gam = tuple(gam) if isinstance(gam, Iterable) else ()
+            if not (gam and all(_is_finite_number(g) for g in gam)):
+                raise ConfigError("gamma_over_omega0 must be a nonempty list of finite numbers")
+            object.__setattr__(self, "gamma_over_omega0", tuple(float(g) for g in gam))
         gammas = self.gamma_over_omega0 or _DEFAULT_GAMMA[self.mode]
         if any(not math.isfinite(g * self.omega0_tau) for g in gammas):
             raise ConfigError("gamma_over_omega0 * omega0_tau must be finite")
         if self.n_list is not None:
-            ns = tuple(dict.fromkeys(int(n) for n in self.n_list))
-            if not ns or any(n < 1 for n in ns):
+            ns = tuple(self.n_list) if isinstance(self.n_list, Iterable) else ()
+            if not (ns and all(_is_finite_number(n) and n == int(n) >= 1 for n in ns)):
                 raise ConfigError("N_list must be a nonempty list of positive integers")
-            object.__setattr__(self, "n_list", ns)
+            object.__setattr__(self, "n_list", tuple(dict.fromkeys(int(n) for n in ns)))
         if not isinstance(self.tolerances, dict):
             raise ConfigError("tolerances must be an object mapping names to numbers")
         for name, value in self.tolerances.items():
             if name not in DEFAULT_TOLERANCES:
                 known = ", ".join(DEFAULT_TOLERANCES)
                 raise ConfigError(f"unknown tolerance {name!r}; expected one of {known}")
-            number = isinstance(value, (int, float)) and not isinstance(value, bool)
-            if not (number and math.isfinite(value)):
+            if not _is_finite_number(value):
                 raise ConfigError(f"tolerance {name!r} must be a finite number")
 
     def resolved(self) -> "SweepConfig":
@@ -149,10 +155,6 @@ class SweepConfig:
         kwargs = dict(data)
         if "N_list" in kwargs:
             kwargs["n_list"] = kwargs.pop("N_list")
-        if kwargs.get("gamma_over_omega0") is not None:
-            kwargs["gamma_over_omega0"] = tuple(kwargs["gamma_over_omega0"])
-        if kwargs.get("n_list") is not None:
-            kwargs["n_list"] = tuple(kwargs["n_list"])
         return cls(**kwargs)
 
     @classmethod

@@ -68,16 +68,16 @@ def _project_system(
 ) -> tuple[np.ndarray, float]:
     """Project onto |psi0>_S x (anything)_E by contracting system indices.
 
-    Returns the projected full-register amplitudes (unnormalized) and the
-    squared norm captured by the projection.  No dense projector is built.
+    Returns the projected (system, environment) matrix (unnormalized) and
+    the squared norm captured by the projection.  No dense projector is
+    built.
     """
     mat = system_env_matrix(state)
     if mat.shape[0] != psi0.dim:
         raise DimensionMismatchError("projector does not match the system register")
     env_vec = psi0.amplitudes.conj() @ mat
     weight = float(np.vdot(env_vec, env_vec).real)
-    projected = from_system_env_matrix(np.outer(psi0.amplitudes, env_vec), state.labels)
-    return projected.amplitudes, weight
+    return np.outer(psi0.amplitudes, env_vec), weight
 
 
 def _measured_trajectory(
@@ -97,12 +97,12 @@ def _measured_trajectory(
     probability = 1.0
     for _ in range(schedule.m):
         state = evolve(u, state, schedule.tau)
-        amps, weight = _project_system(state, projector.psi0)
+        projected, weight = _project_system(state, projector.psi0)
         # The captured weight is a probability; above 1 it is rounding.
         probability *= min(weight, 1.0)
         if probability <= 0.0 or weight < 1e-300:
             return 0.0, None
-        state = StateVector(amps / sqrt(weight), state.labels)
+        state = from_system_env_matrix(projected / sqrt(weight), state.labels)
     return probability, state
 
 
@@ -137,14 +137,9 @@ def _dense_projector(
     psi0: StateVector, labels: tuple[Subsystem, ...]
 ) -> np.ndarray:
     """Dense |psi0><psi0| x I_env on a register with arbitrary label order."""
-    n = len(labels)
-    n_env = sum(1 for l in labels if l is ENVIRONMENT)
-    d_env = 2**n_env
-    dim = 2**n
-    order = register_order(labels)
-    se = np.arange(dim, dtype=np.int64)
-    embed = np.zeros((dim, d_env), dtype=np.complex128)
-    embed[order[se], se & (d_env - 1)] = psi0.amplitudes[se >> n_env]
+    d_env = 2 ** sum(1 for l in labels if l is ENVIRONMENT)
+    embed = np.empty((2 ** len(labels), d_env), dtype=np.complex128)
+    embed[register_order(labels)] = np.kron(psi0.amplitudes[:, None], np.eye(d_env))
     return embed @ embed.conj().T
 
 

@@ -338,6 +338,17 @@ def test_generator_term_by_term_at_larger_n():
     assert len(gen.terms) == 2 * n
 
 
+def test_generator_rejects_non_commuting_rotations():
+    """ZI then XX is not exp(-i G t) for G = (ZI + XX)/2, so no Pauli sum
+    is returned."""
+    model = DilatedEvolution.from_rotations(
+        (SYSTEM, ENVIRONMENT),
+        ((1.0, PauliTerm(1.0, "ZI")), (1.0, PauliTerm(1.0, "XX"))),
+    )
+    with pytest.raises(ValueError, match="commuting"):
+        generator(model)
+
+
 def test_generator_closed_system_limit():
     gen = generator(build_dephasing_model(1, 1.0, 0.0))
     assert gen.coefficient_of("ZI") == pytest.approx(0.5)

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from zeno_qfi.exceptions import (
 from zeno_qfi.paulis import (
     OperatorSum,
     PauliTerm,
+    _apply_string,
     apply_operator,
     expectation,
     pauli_product,
@@ -104,7 +107,7 @@ def test_apply_size_mismatch():
 
 
 def test_apply_matches_dense_on_random_pairs():
-    """Bit-twiddled application against the Kronecker matrix on >= 100
+    """Axis-flipping application against the Kronecker matrix on >= 100
     random operator/state pairs over all register sizes up to 6."""
     rng = np.random.default_rng(11)
     checked = 0
@@ -117,6 +120,20 @@ def test_apply_matches_dense_on_random_pairs():
             np.testing.assert_allclose(fast, slow, atol=1e-12)
             checked += 1
     assert checked >= 100
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_apply_string_matches_dense_on_every_string(n):
+    """The flip-and-negate kernel equals the Kronecker matrix on every
+    Pauli string of n <= 3 qubits, with a complex scale."""
+    rng = np.random.default_rng(13 + n)
+    v = random_state(rng, n).amplitudes
+    scale = 0.6 - 0.8j
+    for chars in itertools.product("IXYZ", repeat=n):
+        factors = "".join(chars)
+        slow = scale * (to_dense(PauliTerm(1.0, factors)).matrix @ v)
+        fast = _apply_string(factors, v, scale)
+        np.testing.assert_allclose(fast, slow, rtol=0, atol=1e-15, err_msg=factors)
 
 
 # ---- expectation and variance ----

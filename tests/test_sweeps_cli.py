@@ -353,3 +353,28 @@ def test_cli_drops_repeated_n(argv, capsys):
     assert run(argv + ["--n", "3", "3"]) == 0
     twice = capsys.readouterr()
     assert (twice.out, twice.err) == (once.out, once.err)
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("omega0_tau", True),
+        ("m", True),
+        ("gamma_over_omega0", [True]),
+        ("N_list", [1.7]),
+        ("N_list", [False]),
+        ("N_list", 3),
+        ("gamma_over_omega0", "0.5"),
+    ],
+)
+def test_cli_rejects_json_booleans_and_fractions(tmp_path, capsys, field, value):
+    """JSON true is not the number 1, N = 1.7 is not N = 1, and a grid is a
+    list of numbers."""
+    config = {"mode": "zeno-time", "omega0_tau": 0.5, "N_list": [1], "gamma_over_omega0": [1]}
+    config[field] = value
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    assert run(["--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error:")
+    assert captured.out == ""
