@@ -10,7 +10,7 @@ index array.  This is what carries registers past the dense cap.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import reduce
 from itertools import combinations
 
 import numpy as np
@@ -192,25 +192,16 @@ _ALL, _REVERSED = slice(None), slice(None, None, -1)
 _NEGATED_HALF = {"Z": slice(1, 2), "Y": slice(0, 1)}
 
 
-@lru_cache(maxsize=256)
-def _string_plan(factors: str) -> tuple[tuple[slice, ...], tuple[tuple, ...], complex]:
-    """Index reversing the X, Y axes, negated half-slices (Z, Y), i^{n_Y}."""
-    flip = tuple(_REVERSED if ch in "XY" else _ALL for ch in factors)
-    negated = tuple(
-        (_ALL,) * j + (_NEGATED_HALF[ch],)
-        for j, ch in enumerate(factors)
-        if ch in _NEGATED_HALF
-    )
-    return flip, negated, 1j ** factors.count("Y")
-
-
 def _apply_string(factors: str, amplitudes: np.ndarray, scale: complex) -> np.ndarray:
     """``scale`` times a unit-coefficient Pauli string applied to the
     amplitudes, by flipping and negating axes of the (2,)*n tensor."""
-    flip, negated, phase = _string_plan(factors)
+    flip = tuple(_REVERSED if ch in "XY" else _ALL for ch in factors)
+    phase = 1j ** factors.count("Y")
     out = np.multiply(amplitudes.reshape((2,) * len(factors))[flip], scale * phase)
-    for half in negated:
-        np.multiply(out[half], -1.0, out=out[half])
+    for j, ch in enumerate(factors):
+        if ch in _NEGATED_HALF:
+            half = (_ALL,) * j + (_NEGATED_HALF[ch],)
+            np.multiply(out[half], -1.0, out=out[half])
     return out.reshape(-1)
 
 

@@ -79,6 +79,11 @@ def _is_finite_number(value) -> bool:
     return real and math.isfinite(value)
 
 
+def _is_positive_whole(value) -> bool:
+    """A finite number >= 1 with no fractional part (2.0 counts, 1.7 and true do not)."""
+    return _is_finite_number(value) and value == int(value) >= 1
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     """One CLI invocation: mode, physical grid, and output destination."""
@@ -100,8 +105,9 @@ class SweepConfig:
             raise ConfigError("omega0_tau must be a positive finite number")
         if self.format not in ("csv", "json"):
             raise ConfigError("format must be 'csv' or 'json'")
-        if not (isinstance(self.m, int) and not isinstance(self.m, bool) and self.m >= 1):
+        if not _is_positive_whole(self.m):
             raise ConfigError("m must be a positive integer")
+        object.__setattr__(self, "m", int(self.m))
         if self.gamma_over_omega0 is not None:
             gam = self.gamma_over_omega0
             gam = tuple(gam) if isinstance(gam, Iterable) else ()
@@ -113,7 +119,7 @@ class SweepConfig:
             raise ConfigError("gamma_over_omega0 * omega0_tau must be finite")
         if self.n_list is not None:
             ns = tuple(self.n_list) if isinstance(self.n_list, Iterable) else ()
-            if not (ns and all(_is_finite_number(n) and n == int(n) >= 1 for n in ns)):
+            if not (ns and all(_is_positive_whole(n) for n in ns)):
                 raise ConfigError("N_list must be a nonempty list of positive integers")
             object.__setattr__(self, "n_list", tuple(dict.fromkeys(int(n) for n in ns)))
         if not isinstance(self.tolerances, dict):

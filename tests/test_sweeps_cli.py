@@ -360,6 +360,7 @@ def test_cli_drops_repeated_n(argv, capsys):
     [
         ("omega0_tau", True),
         ("m", True),
+        ("m", 2.5),
         ("gamma_over_omega0", [True]),
         ("N_list", [1.7]),
         ("N_list", [False]),
@@ -378,3 +379,16 @@ def test_cli_rejects_json_booleans_and_fractions(tmp_path, capsys, field, value)
     captured = capsys.readouterr()
     assert captured.err.startswith("config error:")
     assert captured.out == ""
+
+
+def test_cli_accepts_whole_floats_for_m_and_n(tmp_path, capsys):
+    """m and the entries of N_list pass the same check: 2.0 runs as 2."""
+    outputs = []
+    for m, n in ((2, 1), (2.0, 1.0)):
+        config = {"mode": "zeno-time", "omega0_tau": 0.5, "N_list": [n], "m": m,
+                  "gamma_over_omega0": [1]}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        assert run(["--config", str(path)]) == 0
+        outputs.append(capsys.readouterr())
+    assert (outputs[1].out, outputs[1].err) == (outputs[0].out, outputs[0].err)
