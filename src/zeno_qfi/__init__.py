@@ -46,7 +46,6 @@ from .qfi import (
     EnvOperatorBasis,
     VariationalSolution,
     conjugate_env_operator,
-    fisher_from_survival,
     minimize_qfi_bound,
     optimal_env_coefficients,
     qfi_ghz,

@@ -2,9 +2,8 @@
 
 A dilation is a time-parameterized unitary on system + environment whose
 partial trace over the environment (started in |0...0>) reproduces the
-channel.  Two representations are supported: an ordered list of Pauli
-rotations exp(-i rate t P / 2), which scales to large registers, and a
-dense Hermitian generator G with U(t) = exp(-i G t).
+channel.  It is held as an ordered list of Pauli rotations
+exp(-i rate t P / 2), which scales to large registers.
 """
 
 from __future__ import annotations
@@ -13,17 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dense import (
-    DENSE_QUBIT_CAP,
-    DenseOperator,
-    check_dense_cap,
-    hermitian_expm,
-)
-from .exceptions import (
-    DimensionMismatchError,
-    HermiticityError,
-    TracePreservationError,
-)
+from .dense import DenseOperator, check_dense_budget
+from .exceptions import DimensionMismatchError, TracePreservationError
 from .paulis import OperatorSum, PauliTerm, _mutually_commuting, _rotate
 from .states import (
     ENVIRONMENT,
@@ -42,45 +32,26 @@ KRAUS_PRUNE_TOL = 1e-12
 class DilatedEvolution:
     """Time-parameterized unitary U(t) on a labeled register.
 
-    Exactly one of ``rotations`` (ordered (rate, PauliTerm) pairs, applied
-    first-to-last) or ``dense_generator`` must be given.  Both forms satisfy
-    U(0) = identity by construction.
+    ``rotations`` are ordered (rate, PauliTerm) pairs, applied
+    first-to-last; U(0) = identity by construction.
     """
 
     labels: tuple[Subsystem, ...]
-    rotations: tuple[tuple[float, PauliTerm], ...] | None = None
-    dense_generator: DenseOperator | None = None
+    rotations: tuple[tuple[float, PauliTerm], ...]
 
     def __post_init__(self):
         object.__setattr__(self, "labels", tuple(self.labels))
-        n = len(self.labels)
-        if (self.rotations is None) == (self.dense_generator is None):
-            raise ValueError("specify exactly one of rotations or dense_generator")
-        if self.rotations is not None:
-            rots = tuple((float(r), p) for r, p in self.rotations)
-            for _, p in rots:
-                if p.n_qubits != n:
-                    raise DimensionMismatchError("rotation string size mismatch")
-                if abs(p.coefficient - 1.0) > 1e-12:
-                    raise ValueError("rotation Pauli strings must have unit coefficient")
-            object.__setattr__(self, "rotations", rots)
-        else:
-            if self.dense_generator.dim != 2**n:
-                raise DimensionMismatchError("generator dimension mismatch")
-            if not self.dense_generator.is_hermitian():
-                raise HermiticityError("dense generator must be Hermitian")
+        rots = tuple((float(r), p) for r, p in self.rotations)
+        for _, p in rots:
+            if p.n_qubits != len(self.labels):
+                raise DimensionMismatchError("rotation string size mismatch")
+            if abs(p.coefficient - 1.0) > 1e-12:
+                raise ValueError("rotation Pauli strings must have unit coefficient")
+        object.__setattr__(self, "rotations", rots)
 
     @property
     def n_qubits(self) -> int:
         return len(self.labels)
-
-    @classmethod
-    def from_rotations(cls, labels, rotations) -> "DilatedEvolution":
-        return cls(labels=tuple(labels), rotations=tuple(rotations))
-
-    @classmethod
-    def from_generator(cls, labels, generator: DenseOperator) -> "DilatedEvolution":
-        return cls(labels=tuple(labels), dense_generator=generator)
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,22 +110,19 @@ def build_dephasing_model(n: int, omega0: float, gamma: float) -> DilatedEvoluti
         zx_i[n + i] = "X"
         rotations.append((omega0, PauliTerm(1.0, z_i)))
         rotations.append((gamma, PauliTerm(1.0, "".join(zx_i))))
-    return DilatedEvolution.from_rotations((SYSTEM,) * n + (ENVIRONMENT,) * n, rotations)
+    return DilatedEvolution((SYSTEM,) * n + (ENVIRONMENT,) * n, rotations)
 
 
 def evolve(u: DilatedEvolution, state: StateVector, t: float) -> StateVector:
     """Apply U(t) to a state; norm is preserved to rounding."""
     if u.labels != state.labels:
         raise DimensionMismatchError("evolution register does not match the state")
-    if u.rotations is not None:
-        # __post_init__ has checked the size and unit coefficient of every
-        # rotation, so the loop runs the kernel on raw arrays.
-        amps = state.amplitudes
-        for rate, pauli in u.rotations:
-            amps = _rotate(pauli.factors, rate * t, amps)
-        return StateVector(amps, state.labels)
-    unitary = hermitian_expm(u.dense_generator, t)
-    return StateVector(unitary.matrix @ state.amplitudes, state.labels)
+    # __post_init__ has checked the size and unit coefficient of every
+    # rotation, so the loop runs the kernel on raw arrays.
+    amps = state.amplitudes
+    for rate, pauli in u.rotations:
+        amps = _rotate(pauli.factors, rate * t, amps)
+    return StateVector(amps, state.labels)
 
 
 def _embedded_basis_indices(labels: tuple[Subsystem, ...]) -> np.ndarray:
@@ -166,7 +134,12 @@ def _embedded_basis_indices(labels: tuple[Subsystem, ...]) -> np.ndarray:
 def _evolved_columns(
     u: DilatedEvolution, columns: np.ndarray, t: float
 ) -> list[StateVector]:
-    """U(t) (f_k x |0...0>_E) for each column f_k of a system-space matrix."""
+    """U(t) (f_k x |0...0>_E) for each column f_k of a system-space matrix.
+
+    The result holds (number of columns) x 2^n amplitudes, which must fit
+    in the dense budget.
+    """
+    check_dense_budget(columns.shape[1] * 2**u.n_qubits)
     embed = _embedded_basis_indices(u.labels)
     evolved = []
     for f in columns.T:
@@ -176,16 +149,14 @@ def _evolved_columns(
     return evolved
 
 
-def kraus_from_dilation(
-    u: DilatedEvolution, t: float, dense_cap: int = DENSE_QUBIT_CAP
-) -> KrausSet:
+def kraus_from_dilation(u: DilatedEvolution, t: float) -> KrausSet:
     """Extract Kraus operators K_l = (I_S x <l|_E) U(t) (I_S x |0...0>_E).
 
     Operators are ordered by the environment outcome l; those with
-    Frobenius norm below 1e-12 are pruned.  The register is enumerated
-    densely, so it must fit under the cap.
+    Frobenius norm below 1e-12 are pruned.  One column is evolved per
+    system basis state, so d_S x 2^n amplitudes must fit in the dense
+    budget.
     """
-    check_dense_cap(u.n_qubits, dense_cap)
     d_sys = 2 ** sum(1 for l in u.labels if l is SYSTEM)
     # stacked[s, s', l] = <s', l| U |s, 0>
     stacked = np.stack(
@@ -210,17 +181,14 @@ def apply_channel(kraus: KrausSet, rho: DenseOperator) -> DenseOperator:
 
 
 def generator(u: DilatedEvolution):
-    """Hermitian generator G with U(t) = exp(-i G t).
+    """Hermitian generator G with U(t) = exp(-i G t), as the exact Pauli
+    sum of rate/2-weighted strings.
 
-    Rotation-list dilations yield the exact Pauli sum of rate/2-weighted
-    strings; dense dilations return the generator they hold.  A rotation
-    list whose strings do not all commute raises ``ValueError``: its
-    ordered product is not exp(-i G t) for any such sum.
+    A rotation list whose strings do not all commute raises ``ValueError``:
+    its ordered product is not exp(-i G t) for any such sum.
     """
-    if u.rotations is not None:
-        terms = [PauliTerm(rate / 2.0, p.factors) for rate, p in u.rotations]
-        gen = OperatorSum(terms, hermitian=True, n_qubits=u.n_qubits)
-        if not _mutually_commuting(gen):
-            raise ValueError("generator needs mutually commuting rotations")
-        return gen
-    return u.dense_generator
+    terms = [PauliTerm(rate / 2.0, p.factors) for rate, p in u.rotations]
+    gen = OperatorSum(terms, hermitian=True, n_qubits=u.n_qubits)
+    if not _mutually_commuting(gen):
+        raise ValueError("generator needs mutually commuting rotations")
+    return gen

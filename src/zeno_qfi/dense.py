@@ -1,7 +1,8 @@
 """Dense complex operators: matrix exponentials and partial traces.
 
-Dense matrices are the small-register oracle representation; operations
-that would enumerate more than ``DENSE_QUBIT_CAP`` qubits refuse to run so
+Dense matrices are the small-register oracle representation.  One budget
+bounds every dense array: at most 4^DENSE_QUBIT_CAP complex entries, one
+operator on ``DENSE_QUBIT_CAP`` qubits.  Larger requests refuse to run so
 that callers fall back to the Pauli-string path.
 """
 
@@ -41,9 +42,6 @@ class DenseOperator:
     def trace(self) -> complex:
         return complex(np.trace(self.matrix))
 
-    def dag(self) -> "DenseOperator":
-        return DenseOperator(self.matrix.conj().T)
-
     def is_hermitian(self, tol: float = HERMITIAN_TOL) -> bool:
         return float(np.abs(self.matrix - self.matrix.conj().T).max()) <= tol
 
@@ -56,10 +54,12 @@ class DenseOperator:
         return cls(np.eye(dim, dtype=np.complex128))
 
 
-def check_dense_cap(n_qubits: int, dense_cap: int = DENSE_QUBIT_CAP) -> None:
-    if n_qubits > dense_cap:
+def check_dense_budget(entries: int) -> None:
+    """Refuse a dense array of more than 4^DENSE_QUBIT_CAP complex entries."""
+    if entries > 4**DENSE_QUBIT_CAP:
         raise DenseCapError(
-            f"dense operation on {n_qubits} qubits exceeds the cap of {dense_cap}"
+            f"dense array of {entries} entries exceeds the budget of "
+            f"4^{DENSE_QUBIT_CAP} = {4**DENSE_QUBIT_CAP}"
         )
 
 

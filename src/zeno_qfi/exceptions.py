@@ -10,7 +10,7 @@ class HermiticityError(ValueError):
 
 
 class DenseCapError(ValueError):
-    """A dense-matrix operation was requested above the qubit cap."""
+    """A dense array was requested above the 4^12-entry budget."""
 
 
 class TracePreservationError(ValueError):

@@ -15,7 +15,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .dense import DENSE_QUBIT_CAP, DenseOperator, check_dense_cap
+from .dense import DenseOperator, check_dense_budget
 from .exceptions import DimensionMismatchError, HermiticityError
 from .states import StateVector
 
@@ -275,11 +275,12 @@ def variance(op, state: StateVector) -> float:
     return max(var, 0.0)
 
 
-def to_dense(op, dense_cap: int = DENSE_QUBIT_CAP) -> DenseOperator:
-    """Dense matrix of a PauliTerm or OperatorSum (register within cap)."""
+def to_dense(op) -> DenseOperator:
+    """Dense matrix of a PauliTerm or OperatorSum (4^n entries, within the
+    dense budget)."""
     if isinstance(op, PauliTerm):
         op = OperatorSum((op,), hermitian=False)
-    check_dense_cap(op.n_qubits, dense_cap)
+    check_dense_budget(4**op.n_qubits)
     dim = 2**op.n_qubits
     mat = np.zeros((dim, dim), dtype=np.complex128)
     for t in op.terms:

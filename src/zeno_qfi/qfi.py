@@ -18,7 +18,7 @@ from math import cos, isfinite, sin
 import numpy as np
 
 from .channels import DilatedEvolution, _evolved_columns, generator
-from .dense import DENSE_QUBIT_CAP, DenseOperator, check_dense_cap, hermitian_expm
+from .dense import DenseOperator, hermitian_expm
 from .exceptions import DimensionMismatchError, PoleProximityError
 from .paulis import (
     OperatorSum,
@@ -37,7 +37,7 @@ from .states import (
     Subsystem,
     system_env_matrix,
 )
-from .zeno import ZenoProjector, ZenoSchedule, survival_probability_exact, zeno_time
+from .zeno import zeno_time
 
 POLE_TOL = 1e-8
 GRAM_CUTOFF = 1e-10
@@ -188,15 +188,13 @@ def _conjugate_by_rotation(
     return out
 
 
-def conjugate_env_operator(
-    h_env: OperatorSum, h_hat, tau: float, dense_cap: int = DENSE_QUBIT_CAP
-):
+def conjugate_env_operator(h_env: OperatorSum, h_hat, tau: float):
     """Heisenberg picture of an environment operator under exp(-i H_hat tau).
 
     When H_hat is a Pauli sum of mutually commuting terms, the evolution
     factorizes into Pauli rotations and the conjugation stays inside the
     Pauli algebra at any register size.  Otherwise the product is formed
-    densely, which requires the register to fit under the cap.
+    densely, which requires the register to fit in the dense budget.
     """
     if isinstance(h_hat, OperatorSum) and _mutually_commuting(h_hat):
         terms = list(h_env.terms)
@@ -204,14 +202,13 @@ def conjugate_env_operator(
             theta = 2.0 * term.coefficient.real * tau
             terms = _conjugate_by_rotation(terms, theta, term.factors)
         return OperatorSum(terms, hermitian=h_env.hermitian, n_qubits=h_env.n_qubits)
-    check_dense_cap(h_env.n_qubits, dense_cap)
-    h_dense = h_hat if isinstance(h_hat, DenseOperator) else to_dense(h_hat, dense_cap)
+    h_mat = to_dense(h_env).matrix
+    h_dense = h_hat if isinstance(h_hat, DenseOperator) else to_dense(h_hat)
     u = hermitian_expm(h_dense, tau)
-    h_mat = to_dense(h_env, dense_cap).matrix
     return DenseOperator(u.matrix.conj().T @ h_mat @ u.matrix)
 
 
-def _normal_equations(h_hat, basis, psi_full: StateVector, tau, dense_cap=DENSE_QUBIT_CAP):
+def _normal_equations(h_hat, basis, psi_full: StateVector, tau):
     """Quadratic form of Var(H_hat + sum_k c_k h'_k) in the coefficients c.
 
     Returns H_hat|psi>, the conjugated basis applied to the state stacked
@@ -222,7 +219,7 @@ def _normal_equations(h_hat, basis, psi_full: StateVector, tau, dense_cap=DENSE_
     base_vec = _applied_vector(h_hat, psi_full)
     vecs = np.empty((len(basis.elements), amps.size), dtype=np.complex128)
     for k, h in enumerate(basis.elements):
-        conjugated = conjugate_env_operator(h, h_hat, tau, dense_cap)
+        conjugated = conjugate_env_operator(h, h_hat, tau)
         vecs[k] = _applied_vector(conjugated, psi_full)
     bra = vecs.conj()
     means = (bra @ amps).real
@@ -245,7 +242,6 @@ def minimize_qfi_bound(
     basis: EnvOperatorBasis,
     psi_full: StateVector,
     tau: float,
-    dense_cap: int = DENSE_QUBIT_CAP,
 ) -> VariationalSolution:
     """Minimize 4 Var(H_hat + sum_k c_k h'_k) over the coefficients c.
 
@@ -255,7 +251,7 @@ def minimize_qfi_bound(
     with singular values below 1e-10 of the largest treated as zero; the
     raw condition number is reported for diagnostics.
     """
-    base_vec, vecs, gram, cross = _normal_equations(h_hat, basis, psi_full, tau, dense_cap)
+    base_vec, vecs, gram, cross = _normal_equations(h_hat, basis, psi_full, tau)
     u, s, vt = np.linalg.svd(gram, hermitian=True)
     s_max = float(s.max(initial=0.0))
     if s_max == 0.0:
@@ -373,12 +369,7 @@ def _sld_information(rho: np.ndarray, drho: np.ndarray) -> float:
     return float(np.sum(2.0 * np.abs(d[keep]) ** 2 / denom[keep]))
 
 
-def qfi_sld_oracle(
-    evolution: DilatedEvolution,
-    initial,
-    tau: float,
-    dense_cap: int = DENSE_QUBIT_CAP,
-) -> float:
+def qfi_sld_oracle(evolution: DilatedEvolution, initial, tau: float) -> float:
     """Channel QFI at interval tau from the mixed-state SLD formula.
 
     The input rho_0 = F W F^dag (a pure state or a density matrix) is
@@ -389,9 +380,9 @@ def qfi_sld_oracle(
     drho_S = X + X^dag with X = sum W_kk' dV_k V_k'^dag.  ``generator``
     refuses a rotation list that does not commute.  This path works in the
     Schroedinger picture and is independent of the variational solver,
-    whose oracle it is.
+    whose oracle it is.  The evolved columns hold (number of columns) x 2^n
+    amplitudes, which must fit in the dense budget.
     """
-    check_dense_cap(evolution.n_qubits, dense_cap)
     if not tau > 0:
         raise ValueError("interval must be positive")
     columns, weights = _density_from_initial(initial)
@@ -408,35 +399,3 @@ def qfi_sld_oracle(
     rho = np.tensordot(v, conj_weighted, axes=([0, 2], [0, 2]))
     x = np.tensordot(dv, conj_weighted, axes=([0, 2], [0, 2]))
     return _sld_information(rho, x + x.conj().T)
-
-
-def fisher_from_survival(
-    evolution: DilatedEvolution,
-    projector: ZenoProjector,
-    env0: StateVector,
-    tau: float,
-    dtau: float | None = None,
-) -> float:
-    """Information bound [dP/dtau]^2 / (P (1-P)) from the single-measurement
-    survival probability, differentiated numerically.
-
-    Matches 4 Var(H_hat) only to leading order in tau, so comparisons are
-    meaningful in the short-interval regime.
-    """
-    if not tau > 0:
-        raise ValueError("interval must be positive")
-    step = 1e-4 * tau if dtau is None else float(dtau)
-    if not 0 < step < tau:
-        raise ValueError("dtau must be positive and smaller than tau")
-
-    def survival(t: float) -> float:
-        return survival_probability_exact(
-            evolution, projector, env0, ZenoSchedule(1, t)
-        )
-
-    p_mid = survival(tau)
-    denom = p_mid * (1.0 - p_mid)
-    if denom < 1e-14:
-        raise ValueError("survival probability too close to 0 or 1 to differentiate")
-    dp = (survival(tau + step) - survival(tau - step)) / (2.0 * step)
-    return dp**2 / denom

@@ -79,9 +79,10 @@ def _is_finite_number(value) -> bool:
     return real and math.isfinite(value)
 
 
-def _is_positive_whole(value) -> bool:
-    """A finite number >= 1 with no fractional part (2.0 counts, 1.7 and true do not)."""
-    return _is_finite_number(value) and value == int(value) >= 1
+def _is_whole(value, least: int = 1) -> bool:
+    """A finite number >= ``least`` with no fractional part (2.0 counts, 1.7
+    and true do not)."""
+    return _is_finite_number(value) and value == int(value) >= least
 
 
 @dataclass(frozen=True)
@@ -105,9 +106,14 @@ class SweepConfig:
             raise ConfigError("omega0_tau must be a positive finite number")
         if self.format not in ("csv", "json"):
             raise ConfigError("format must be 'csv' or 'json'")
-        if not _is_positive_whole(self.m):
+        if not _is_whole(self.m):
             raise ConfigError("m must be a positive integer")
         object.__setattr__(self, "m", int(self.m))
+        if not _is_whole(self.seed, least=0):
+            raise ConfigError("seed must be a non-negative integer")
+        object.__setattr__(self, "seed", int(self.seed))
+        if not (self.output_path is None or isinstance(self.output_path, str)):
+            raise ConfigError("output_path must be a string or null")
         if self.gamma_over_omega0 is not None:
             gam = self.gamma_over_omega0
             gam = tuple(gam) if isinstance(gam, Iterable) else ()
@@ -119,7 +125,7 @@ class SweepConfig:
             raise ConfigError("gamma_over_omega0 * omega0_tau must be finite")
         if self.n_list is not None:
             ns = tuple(self.n_list) if isinstance(self.n_list, Iterable) else ()
-            if not (ns and all(_is_positive_whole(n) for n in ns)):
+            if not (ns and all(_is_whole(n) for n in ns)):
                 raise ConfigError("N_list must be a nonempty list of positive integers")
             object.__setattr__(self, "n_list", tuple(dict.fromkeys(int(n) for n in ns)))
         if not isinstance(self.tolerances, dict):
@@ -533,16 +539,15 @@ def _zeno_survivals() -> list[float]:
     return values
 
 
-def _check_zeno_monotonic(tol: float) -> VerifyCheck:
-    values = _zeno_survivals()
+def _check_zeno_monotonic(tol: float, values: list[float]) -> VerifyCheck:
     smallest_step = min(b - a for a, b in zip(values, values[1:]))
     return VerifyCheck(
         "zeno_monotonic", smallest_step, tol, "ge", "m doubling from 1 to 256"
     )
 
 
-def _check_zeno_limit(tol: float) -> VerifyCheck:
-    return VerifyCheck("zeno_limit", _zeno_survivals()[-1], tol, "ge", "P at m=256")
+def _check_zeno_limit(tol: float, values: list[float]) -> VerifyCheck:
+    return VerifyCheck("zeno_limit", values[-1], tol, "ge", "P at m=256")
 
 
 def _check_quadratic_order(tol: float) -> VerifyCheck:
@@ -572,14 +577,15 @@ def run_verify(cfg: SweepConfig) -> VerifyReport:
     """Run the cross-module oracle suite with (possibly overridden)
     tolerances and collect pass/fail results."""
     tol = {**DEFAULT_TOLERANCES, **cfg.tolerances}
+    survivals = _zeno_survivals()
     checks = [
         _check_kraus_completeness(tol["kraus_completeness"]),
         _check_channel_vs_partial_trace(tol["channel_vs_partial_trace"], cfg.seed),
         _check_solver_vs_sld(tol["solver_vs_sld"]),
         _check_solver_vs_closed_form(tol["solver_vs_closed_form"]),
         _check_ansatz_bounds_true_qfi(tol["ansatz_bounds_true_qfi"]),
-        _check_zeno_monotonic(tol["zeno_monotonic"]),
-        _check_zeno_limit(tol["zeno_limit"]),
+        _check_zeno_monotonic(tol["zeno_monotonic"], survivals),
+        _check_zeno_limit(tol["zeno_limit"], survivals),
         _check_quadratic_order(tol["quadratic_order"]),
     ]
     return VerifyReport(checks)

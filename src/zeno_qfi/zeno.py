@@ -15,7 +15,7 @@ from math import sqrt
 import numpy as np
 
 from .channels import DilatedEvolution, evolve
-from .dense import DENSE_QUBIT_CAP, DenseOperator, check_dense_cap
+from .dense import DenseOperator
 from .exceptions import DimensionMismatchError, HermiticityError
 from .paulis import OperatorSum, PauliTerm, apply_operator, to_dense, variance
 from .states import (
@@ -80,13 +80,13 @@ def _project_system(
     return np.outer(psi0.amplitudes, env_vec), weight
 
 
-def _measured_trajectory(
+def survival_probability_exact(
     u: DilatedEvolution,
     projector: ZenoProjector,
     env0: StateVector,
     schedule: ZenoSchedule,
-) -> tuple[float, StateVector | None]:
-    """Run the evolve/project cycle, returning (P, final normalized state)."""
+) -> float:
+    """Probability that all m measurements find the system in psi0."""
     if any(l is not ENVIRONMENT for l in env0.labels):
         raise ValueError("environment state must live on environment qubits only")
     state = tensor_state(projector.psi0, env0)
@@ -101,19 +101,8 @@ def _measured_trajectory(
         # The captured weight is a probability; above 1 it is rounding.
         probability *= min(weight, 1.0)
         if probability <= 0.0 or weight < 1e-300:
-            return 0.0, None
+            return 0.0
         state = from_system_env_matrix(projected / sqrt(weight), state.labels)
-    return probability, state
-
-
-def survival_probability_exact(
-    u: DilatedEvolution,
-    projector: ZenoProjector,
-    env0: StateVector,
-    schedule: ZenoSchedule,
-) -> float:
-    """Probability that all m measurements find the system in psi0."""
-    probability, _ = _measured_trajectory(u, projector, env0, schedule)
     return probability
 
 
@@ -123,14 +112,20 @@ def conditional_state(
     env0: StateVector,
     schedule: ZenoSchedule,
 ) -> DenseOperator:
-    """System density matrix conditioned on surviving all m measurements."""
-    probability, state = _measured_trajectory(u, projector, env0, schedule)
-    if probability <= MIN_SURVIVAL or state is None:
+    """System density matrix conditioned on surviving all m measurements.
+
+    The last measurement projects the system onto psi0, so the conditioned
+    system state is |psi0><psi0| whatever the dilation.  The survival
+    probability is still computed, and must exceed 1e-14, so that an
+    impossible conditioning raises ``ValueError``.
+    """
+    probability = survival_probability_exact(u, projector, env0, schedule)
+    if probability <= MIN_SURVIVAL:
         raise ValueError(
             f"survival probability {probability:.3e} too small to condition on"
         )
-    mat = system_env_matrix(state)
-    return DenseOperator(mat @ mat.conj().T)
+    psi = projector.psi0.amplitudes
+    return DenseOperator(np.outer(psi, psi.conj()))
 
 
 def _dense_projector(
@@ -147,7 +142,6 @@ def zeno_hamiltonian(
     h_se: OperatorSum,
     projector: ZenoProjector,
     labels: tuple[Subsystem, ...],
-    dense_cap: int = DENSE_QUBIT_CAP,
 ):
     """Effective generator H - M H M governing short-time survival decay.
 
@@ -155,7 +149,7 @@ def zeno_hamiltonian(
     every environment string, the psi0-expectations of the attached system
     strings cancel; in that case H is returned unchanged (still a Pauli
     sum).  Otherwise the dense difference is formed, which requires the
-    register to fit under the dense cap.
+    register to fit in the dense budget.
     """
     if not h_se.hermitian:
         raise HermiticityError("zeno_hamiltonian requires a Hermitian generator")
@@ -176,8 +170,7 @@ def zeno_hamiltonian(
     if all(abs(c) <= 1e-12 for c in filtered.values()):
         return h_se
 
-    check_dense_cap(len(labels), dense_cap)
-    h = to_dense(h_se, dense_cap).matrix
+    h = to_dense(h_se).matrix
     m = _dense_projector(projector.psi0, tuple(labels))
     return DenseOperator(h - m @ h @ m)
 

@@ -140,7 +140,7 @@ def test_evolve_on_interleaved_register_matches_block_layout():
             chars[pos] = ch
         rotations.append((rate, PauliTerm(1.0, "".join(chars))))
     labels = (SYSTEM, ENVIRONMENT, SYSTEM, ENVIRONMENT)
-    interleaved = DilatedEvolution.from_rotations(labels, rotations)
+    interleaved = DilatedEvolution(labels, rotations)
 
     psi = rng.normal(size=4) + 1j * rng.normal(size=4)
     start = tensor_state(StateVector(psi, (SYSTEM,) * 2).normalized(), zero_environment(2))

@@ -343,6 +343,13 @@ def test_cli_rejects_non_finite_phase(argv, capsys):
     assert captured.out == ""
 
 
+def test_cli_rejects_negative_seed_flag(capsys):
+    assert run(["qfi-vs-gamma", "--seed", "-3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: seed")
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize(
     "argv",
     [["qfi-vs-gamma", "--seed", "7"], ["zeno-time", "--gamma", "1", "--seed", "7"]],
@@ -366,11 +373,18 @@ def test_cli_drops_repeated_n(argv, capsys):
         ("N_list", [False]),
         ("N_list", 3),
         ("gamma_over_omega0", "0.5"),
+        ("seed", "x"),
+        ("seed", 1.5),
+        ("seed", -3),
+        ("seed", True),
+        ("output_path", 7),
+        ("output_path", 1),
     ],
 )
 def test_cli_rejects_json_booleans_and_fractions(tmp_path, capsys, field, value):
-    """JSON true is not the number 1, N = 1.7 is not N = 1, and a grid is a
-    list of numbers."""
+    """JSON true is not the number 1, N = 1.7 is not N = 1, a grid is a
+    list of numbers, a seed is a whole number >= 0, and an output path is a
+    string (7 is not file descriptor 7)."""
     config = {"mode": "zeno-time", "omega0_tau": 0.5, "N_list": [1], "gamma_over_omega0": [1]}
     config[field] = value
     path = tmp_path / "cfg.json"

@@ -118,7 +118,7 @@ def test_survival_invariant_under_environment_relabeling():
     """Swapping which environment qubit each system qubit couples to cannot
     change the survival probability when the environment starts symmetric."""
     canonical = build_dephasing_model(2, 1.0, 1.0)
-    swapped = DilatedEvolution.from_rotations(
+    swapped = DilatedEvolution(
         canonical.labels,
         (
             (1.0, PauliTerm(1.0, "ZIII")),
