@@ -2,7 +2,8 @@
 
 Configuration comes from an optional JSON file plus flag overrides, flags
 winning.  Exit status: 0 on success, 1 on verification failure (or a failed
-in-sweep cross-check), 2 on configuration errors.
+in-sweep cross-check), 2 on configuration errors, which include an output
+file that cannot be opened for writing.
 """
 
 from __future__ import annotations
@@ -78,24 +79,20 @@ def _config_from_args(args: argparse.Namespace) -> SweepConfig:
 def _write_output(text: str, path: str | None) -> None:
     if path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
-def run(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    try:
-        cfg = _config_from_args(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-
+def _run(cfg: SweepConfig) -> int:
     if cfg.mode == "verify":
         report = run_verify(cfg)
         for line in report.lines():
             print(line)
-        if cfg.output_path:
+        if cfg.output_path is not None:
             _write_output(report.to_json_text(), cfg.output_path)
         return 0 if report.all_passed else 1
 
@@ -109,6 +106,15 @@ def run(argv=None) -> int:
     text = table.to_csv_text() if cfg.format == "csv" else table.to_json_text(cfg.mode)
     _write_output(text, cfg.output_path)
     return 0
+
+
+def run(argv=None) -> int:
+    args = build_parser().parse_args(argv)
+    try:
+        return _run(_config_from_args(args))
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
 
 
 def main() -> int:

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .channels import (
+    DilatedEvolution,
     apply_channel,
     build_dephasing_model,
     evolve,
@@ -36,10 +37,22 @@ from .qfi import (
     qfi_sld_oracle,
     zeno_time_bound,
 )
-from .states import SYSTEM, basis_state, ghz_state, plus_state, tensor_state, zero_environment
+from .paulis import PauliTerm
+from .states import (
+    ENVIRONMENT,
+    SYSTEM,
+    StateVector,
+    Subsystem,
+    basis_state,
+    ghz_state,
+    plus_state,
+    tensor_state,
+    zero_environment,
+)
 from .zeno import (
     ZenoProjector,
     ZenoSchedule,
+    _survival_by_collapse,
     survival_probability_exact,
     survival_probability_quadratic,
     zeno_hamiltonian,
@@ -70,6 +83,7 @@ DEFAULT_TOLERANCES = {
     "zeno_monotonic": -1e-12,
     "zeno_limit": 0.98,
     "quadratic_order": 1.1,
+    "survival_closed_vs_collapse": 1e-12,
 }
 
 
@@ -112,8 +126,9 @@ class SweepConfig:
         if not _is_whole(self.seed, least=0):
             raise ConfigError("seed must be a non-negative integer")
         object.__setattr__(self, "seed", int(self.seed))
-        if not (self.output_path is None or isinstance(self.output_path, str)):
-            raise ConfigError("output_path must be a string or null")
+        path = self.output_path
+        if not (path is None or (isinstance(path, str) and path)):
+            raise ConfigError("output_path must be a nonempty string or null")
         if self.gamma_over_omega0 is not None:
             gam = self.gamma_over_omega0
             gam = tuple(gam) if isinstance(gam, Iterable) else ()
@@ -524,6 +539,47 @@ def _check_solver_vs_closed_form(tol: float) -> VerifyCheck:
     )
 
 
+def _random_pure(rng: np.random.Generator, n: int, label: Subsystem) -> StateVector:
+    amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+    return StateVector(amps, (label,) * n).normalized()
+
+
+def _check_survival_closed_vs_collapse(tol: float, seed: int) -> VerifyCheck:
+    """The closed-form survival against the collapse loop, on random system
+    and environment states, N in {1, 2, 3} and the two-pair model on an
+    interleaved (S, E, S, E) register."""
+    rng = np.random.default_rng(seed)
+    models = [build_dephasing_model(n, *rng.uniform(0.5, 1.5, 2)) for n in (1, 2, 3)]
+    # Block positions S0, S1, E0, E1 move to interleaved positions 0, 2, 1, 3.
+    models.append(
+        DilatedEvolution(
+            (SYSTEM, ENVIRONMENT) * 2,
+            [
+                (rate, PauliTerm(1.0, "".join(p.factors[i] for i in (0, 2, 1, 3))))
+                for rate, p in models[1].rotations
+            ],
+        )
+    )
+    worst = 0.0
+    for model in models:
+        n = model.n_qubits // 2
+        projector = ZenoProjector(_random_pure(rng, n, SYSTEM))
+        env0 = _random_pure(rng, n, ENVIRONMENT)
+        tau = float(rng.uniform(0.05, 0.3))
+        for m in (1, 50):
+            schedule = ZenoSchedule(m, tau)
+            closed = survival_probability_exact(model, projector, env0, schedule)
+            loop = _survival_by_collapse(model, projector, env0, schedule)
+            worst = max(worst, abs(closed - loop) / loop)
+    return VerifyCheck(
+        "survival_closed_vs_collapse",
+        worst,
+        tol,
+        "le",
+        "N<=3 and (S,E,S,E), m in {1,50}, random states",
+    )
+
+
 def _zeno_survivals() -> list[float]:
     model = build_dephasing_model(1, 1.0, 1.0)
     projector = ZenoProjector(plus_state(1))
@@ -584,6 +640,9 @@ def run_verify(cfg: SweepConfig) -> VerifyReport:
         _check_solver_vs_sld(tol["solver_vs_sld"]),
         _check_solver_vs_closed_form(tol["solver_vs_closed_form"]),
         _check_ansatz_bounds_true_qfi(tol["ansatz_bounds_true_qfi"]),
+        _check_survival_closed_vs_collapse(
+            tol["survival_closed_vs_collapse"], cfg.seed
+        ),
         _check_zeno_monotonic(tol["zeno_monotonic"], survivals),
         _check_zeno_limit(tol["zeno_limit"], survivals),
         _check_quadratic_order(tol["quadratic_order"]),

@@ -1,16 +1,28 @@
 """Repeated projective measurement: survival probabilities and Zeno times.
 
 One measurement projects the system factor onto its initial pure state
-while leaving the environment untouched.  The exact survival probability
-after m rounds is evaluated by state-vector collapse (evolve, project,
-record the squared norm, renormalize), which costs O(m 2^n) instead of the
-O(2^3n) of dense operator powers and agrees with them on pure inputs.
+psi0 while leaving the environment untouched.  Every round therefore starts
+from psi0, and m rounds act on the environment through one filtered
+operator K = (<psi0| x I) U(tau) (|psi0> x I), with survival
+P_m = |K^m env0|^2.
+
+``survival_probability_exact`` picks its path from the rotation list:
+
+- When every rotation string is I/Z on the system qubits and I/X on the
+  environment qubits (the dephasing-coupling model, in any label order),
+  U is diagonal in |s>_S |x>_E, with x the environment's X basis.  Then
+  K is diagonal too and P_m has a closed form (see the function), at the
+  cost of one state vector.
+- Any other rotation list runs the collapse loop ``_survival_by_collapse``
+  (evolve, project, record the squared norm, renormalize), which costs
+  O(m 2^n).  The loop is also the reference the closed form is checked
+  against, in the tests and in ``verify``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import sqrt
+from math import exp, log, sqrt
 
 import numpy as np
 
@@ -80,20 +92,31 @@ def _project_system(
     return np.outer(psi0.amplitudes, env_vec), weight
 
 
-def survival_probability_exact(
+def _check_register(
+    u: DilatedEvolution, projector: ZenoProjector, env0: StateVector
+) -> None:
+    if any(l is not ENVIRONMENT for l in env0.labels):
+        raise ValueError("environment state must live on environment qubits only")
+    if not env0.is_normalized():
+        raise ValueError("environment state must be normalized")
+    counts = (u.labels.count(SYSTEM), u.labels.count(ENVIRONMENT))
+    if (projector.psi0.n_qubits, env0.n_qubits) != counts:
+        raise DimensionMismatchError(
+            "projector/environment register does not match the evolution"
+        )
+
+
+def _survival_by_collapse(
     u: DilatedEvolution,
     projector: ZenoProjector,
     env0: StateVector,
     schedule: ZenoSchedule,
 ) -> float:
-    """Probability that all m measurements find the system in psi0."""
-    if any(l is not ENVIRONMENT for l in env0.labels):
-        raise ValueError("environment state must live on environment qubits only")
-    state = tensor_state(projector.psi0, env0)
-    if state.labels != u.labels:
-        raise DimensionMismatchError(
-            "projector/environment register does not match the evolution"
-        )
+    """Survival by state-vector collapse, for any rotation list: m times
+    evolve, project onto psi0, record the captured weight, renormalize."""
+    _check_register(u, projector, env0)
+    block = tensor_state(projector.psi0, env0)
+    state = from_system_env_matrix(system_env_matrix(block), u.labels)
     probability = 1.0
     for _ in range(schedule.m):
         state = evolve(u, state, schedule.tau)
@@ -104,6 +127,96 @@ def survival_probability_exact(
             return 0.0
         state = from_system_env_matrix(projected / sqrt(weight), state.labels)
     return probability
+
+
+def _parity_signs(strings: list[str], char: str, n: int) -> np.ndarray:
+    """signs[b, r] = (-1)^(number of ``char`` factors of strings[r] under
+    the set bits of b), for each basis index b of n qubits: the half of
+    each axis under a ``char`` factor is negated, as in the Pauli kernel."""
+    signs = np.ones((len(strings),) + (2,) * n)
+    for r, string in enumerate(strings):
+        for j, c in enumerate(string):
+            if c == char:
+                signs[(r,) + (slice(None),) * j + (1,)] *= -1.0
+    return signs.reshape(len(strings), 2**n).T
+
+
+def _zx_phases(u: DilatedEvolution) -> np.ndarray | None:
+    """Phi[s, x] = sum_r rate_r z_r(s) x_r(x) if every rotation string is
+    I/Z on the system and I/X on the environment, else None."""
+    sys_pos = [i for i, l in enumerate(u.labels) if l is SYSTEM]
+    env_pos = [i for i, l in enumerate(u.labels) if l is ENVIRONMENT]
+    sys_strings = ["".join(p.factors[i] for i in sys_pos) for _, p in u.rotations]
+    env_strings = ["".join(p.factors[i] for i in env_pos) for _, p in u.rotations]
+    if any(set(s) - set("IZ") for s in sys_strings) or any(
+        set(e) - set("IX") for e in env_strings
+    ):
+        return None
+    z = _parity_signs(sys_strings, "Z", len(sys_pos))
+    x = _parity_signs(env_strings, "X", len(env_pos))
+    return (z * [rate for rate, _ in u.rotations]) @ x.T
+
+
+def _x_basis_weights(env0: StateVector) -> np.ndarray:
+    """p(x) = |<x|env0>|^2 over the X basis (bit 0 for |+>), by a
+    Walsh-Hadamard transform."""
+    amps = env0.amplitudes
+    for axis in range(env0.n_qubits):
+        t = amps.reshape(2**axis, 2, -1)
+        amps = np.stack((t[:, 0] + t[:, 1], t[:, 0] - t[:, 1]), axis=1).reshape(-1)
+    return np.abs(amps) ** 2 / 2**env0.n_qubits
+
+
+def survival_probability_exact(
+    u: DilatedEvolution,
+    projector: ZenoProjector,
+    env0: StateVector,
+    schedule: ZenoSchedule,
+) -> float:
+    """Probability that all m measurements find the system in psi0.
+
+    If every rotation string is I/Z on the system and I/X on the
+    environment, in any label order, the closed form runs.  With z_r(s)
+    and x_r(x) the signs of string r on system basis state s and on
+    environment X-basis state x,
+
+        Phi[s, x] = sum_r rate_r z_r(s) x_r(x),
+        k(x) = sum_s |psi0(s)|^2 exp(-i tau Phi[s, x] / 2),
+        p(x) = |<x|env0>|^2,
+        P_m = sum_x p(x) |k(x)|^(2m),
+
+    summed as a log-sum-exp over the x with p(x) > 0 and k(x) != 0, so it
+    cannot underflow to a spurious 0 or raise a warning.  It costs one
+    2^N_S x 2^N_E array, the size of a state vector, whatever m is.  Any
+    other rotation list runs the collapse loop ``_survival_by_collapse``,
+    which is also the reference for the closed form.  Both cap the result
+    at 1.
+    """
+    phi = _zx_phases(u)
+    if phi is None:
+        return _survival_by_collapse(u, projector, env0, schedule)
+    _check_register(u, projector, env0)
+    amps = projector.psi0.amplitudes
+    # P_m takes |k|^2 through m log|k|^2, which multiplies any rounding of
+    # |k|^2 by m.  So 1 - |k|^2 = deficit (2 - deficit)
+    # + re_gap (2 (1 - deficit) - re_gap) - im^2 is built from small terms
+    # that keep their relative accuracy: deficit = 1 - sum_s w(s) (summed in
+    # extended precision), re_gap = sum_s w(s) - Re k and im = Im k.
+    deficit = float(1.0 - np.sum(np.abs(amps.astype(np.clongdouble)) ** 2))
+    weights = np.abs(amps) ** 2
+    angles = 0.5 * schedule.tau * phi
+    re_gap = weights @ (2.0 * np.sin(0.5 * angles) ** 2)
+    im = weights @ np.sin(angles)
+    loss = (
+        deficit * (2.0 - deficit) + re_gap * (2.0 * (1.0 - deficit) - re_gap) - im**2
+    )
+    p = _x_basis_weights(env0)
+    keep = (p > 0.0) & (loss < 1.0)
+    if not keep.any():
+        return 0.0
+    logs = np.log(p[keep]) + schedule.m * np.log1p(-loss[keep])
+    top = float(logs.max())
+    return min(exp(top + log(float(np.exp(logs - top).sum()))), 1.0)
 
 
 def conditional_state(

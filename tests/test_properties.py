@@ -15,8 +15,13 @@ from zeno_qfi.qfi import (
     qfi_sld_oracle,
     qfi_upper_bound,
 )
-from zeno_qfi.states import SYSTEM, StateVector, tensor_state, zero_environment
-from zeno_qfi.zeno import ZenoProjector, ZenoSchedule, survival_probability_exact
+from zeno_qfi.states import ENVIRONMENT, SYSTEM, StateVector, tensor_state, zero_environment
+from zeno_qfi.zeno import (
+    ZenoProjector,
+    ZenoSchedule,
+    _survival_by_collapse,
+    survival_probability_exact,
+)
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=25, database=None)
 
@@ -26,16 +31,17 @@ taus = st.floats(0.05, 1.0)
 
 
 @st.composite
-def pure_states(draw):
-    """Random normalized state of one or two system qubits."""
-    n = draw(st.integers(1, 2))
+def pure_states(draw, n=None, label=SYSTEM):
+    """Random normalized state of ``n`` qubits (one or two if not given)."""
+    if n is None:
+        n = draw(st.integers(1, 2))
     parts = draw(
         st.lists(st.floats(-1.0, 1.0), min_size=2 ** (n + 1), max_size=2 ** (n + 1))
     )
     amps = np.array(parts[0::2]) + 1j * np.array(parts[1::2])
     if np.linalg.norm(amps) < 0.1:
         amps = np.eye(2**n)[0] + amps
-    return StateVector(amps, (SYSTEM,) * n).normalized()
+    return StateVector(amps, (label,) * n).normalized()
 
 
 @PROPERTY
@@ -65,14 +71,16 @@ def test_bound_ordering(omega0, gamma, tau, system):
 
 
 @PROPERTY
-@given(omega0s, gammas, st.floats(1e-3, 2.0), st.integers(1, 50), pure_states())
-def test_survival_is_a_probability(omega0, gamma, tau, m, system):
+@given(omega0s, gammas, st.floats(1e-3, 2.0), st.integers(1, 50), pure_states(), st.data())
+def test_survival_is_a_probability(omega0, gamma, tau, m, system, data):
+    """The closed form is a probability and equals the collapse loop."""
     n = system.n_qubits
     model = build_dephasing_model(n, omega0, gamma)
-    p = survival_probability_exact(
-        model, ZenoProjector(system), zero_environment(n), ZenoSchedule(m, tau)
-    )
+    env0 = data.draw(pure_states(n, ENVIRONMENT))
+    args = (model, ZenoProjector(system), env0, ZenoSchedule(m, tau))
+    p = survival_probability_exact(*args)
     assert 0.0 <= p <= 1.0
+    assert p == pytest.approx(_survival_by_collapse(*args), rel=1e-12, abs=0)
 
 
 @PROPERTY

@@ -406,3 +406,31 @@ def test_cli_accepts_whole_floats_for_m_and_n(tmp_path, capsys):
         assert run(["--config", str(path)]) == 0
         outputs.append(capsys.readouterr())
     assert (outputs[1].out, outputs[1].err) == (outputs[0].out, outputs[0].err)
+
+
+@pytest.mark.parametrize("mode", ["verify", "zeno-time"])
+def test_cli_rejects_empty_output_path(tmp_path, capsys, mode):
+    """An empty output path is a config error in every mode; verify used to
+    skip its JSON report silently."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"mode": mode, "N_list": [1], "output_path": ""}))
+    assert run(["--config", str(path)]) == 2
+    assert run([mode, "--n", "1", "--out", ""]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        "config error: output_path must be a nonempty string or null"
+    ] * 2
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("mode", ["verify", "zeno-time"])
+def test_cli_unwritable_output_is_a_config_error(tmp_path, capsys, mode):
+    """An output file that cannot be opened gives one config error line and
+    exit 2, not a traceback."""
+    out = tmp_path / "missing" / "x.csv"
+    assert run([mode, "--n", "1", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"config error: cannot write {out}: ")
+    assert not out.exists()

@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+from zeno_qfi import zeno
 from zeno_qfi.channels import (
     DilatedEvolution,
     build_dephasing_model,
@@ -21,6 +24,7 @@ from zeno_qfi.states import (
 from zeno_qfi.zeno import (
     ZenoProjector,
     ZenoSchedule,
+    _survival_by_collapse,
     conditional_state,
     survival_probability_exact,
     survival_probability_quadratic,
@@ -53,6 +57,38 @@ def test_projector_requires_system_labels():
 
 
 # ---- exact survival probability ----
+
+
+def random_state(rng, n, label):
+    amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+    return StateVector(amps, (label,) * n).normalized()
+
+
+def interleaved_model(n, omega0, gamma):
+    """The dephasing model on an (S, E, S, E, ...) register: block position
+    i moves to 2i for a system qubit and to 2(i - n) + 1 for its partner."""
+    block = build_dephasing_model(n, omega0, gamma)
+    where = [2 * i for i in range(n)] + [2 * i + 1 for i in range(n)]
+    rotations = []
+    for rate, pauli in block.rotations:
+        chars = ["I"] * 2 * n
+        for pos, ch in zip(where, pauli.factors):
+            chars[pos] = ch
+        rotations.append((rate, PauliTerm(1.0, "".join(chars))))
+    return DilatedEvolution((SYSTEM, ENVIRONMENT) * n, rotations)
+
+
+def swapped_model():
+    """Two pairs with system 0 coupled to environment 1 and vice versa."""
+    return DilatedEvolution(
+        (SYSTEM,) * 2 + (ENVIRONMENT,) * 2,
+        (
+            (1.0, PauliTerm(1.0, "ZIII")),
+            (1.0, PauliTerm(1.0, "ZIIX")),  # system 0 -> environment 1
+            (1.0, PauliTerm(1.0, "IZII")),
+            (1.0, PauliTerm(1.0, "IZXI")),  # system 1 -> environment 0
+        ),
+    )
 
 
 def test_commuting_projector_survives_exactly():
@@ -118,21 +154,102 @@ def test_survival_invariant_under_environment_relabeling():
     """Swapping which environment qubit each system qubit couples to cannot
     change the survival probability when the environment starts symmetric."""
     canonical = build_dephasing_model(2, 1.0, 1.0)
-    swapped = DilatedEvolution(
-        canonical.labels,
-        (
-            (1.0, PauliTerm(1.0, "ZIII")),
-            (1.0, PauliTerm(1.0, "ZIIX")),  # system 0 -> environment 1
-            (1.0, PauliTerm(1.0, "IZII")),
-            (1.0, PauliTerm(1.0, "IZXI")),  # system 1 -> environment 0
-        ),
-    )
+    swapped = swapped_model()
     projector = ZenoProjector(ghz_state(2))
     env0 = zero_environment(2)
     schedule = ZenoSchedule(4, 0.35)
     p1 = survival_probability_exact(canonical, projector, env0, schedule)
     p2 = survival_probability_exact(swapped, projector, env0, schedule)
     assert p1 == pytest.approx(p2, rel=1e-12)
+
+
+def assert_closed_form_matches_collapse(model, projector, env0, schedule):
+    closed = survival_probability_exact(model, projector, env0, schedule)
+    loop = _survival_by_collapse(model, projector, env0, schedule)
+    assert closed == pytest.approx(loop, rel=1e-12, abs=0)
+    return closed
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_closed_form_matches_collapse_on_random_inputs(n):
+    rng = np.random.default_rng(100 + n)
+    model = build_dephasing_model(n, *rng.uniform(0.5, 1.5, 2))
+    projector = ZenoProjector(random_state(rng, n, SYSTEM))
+    env0 = random_state(rng, n, ENVIRONMENT)
+    for m in (1, 100, 1000):
+        schedule = ZenoSchedule(m, float(rng.uniform(0.02, 0.06)))
+        assert_closed_form_matches_collapse(model, projector, env0, schedule)
+
+
+def test_closed_form_matches_collapse_at_eight_pairs():
+    rng = np.random.default_rng(8)
+    model = build_dephasing_model(8, 0.9, 1.2)
+    projector = ZenoProjector(random_state(rng, 8, SYSTEM))
+    env0 = random_state(rng, 8, ENVIRONMENT)
+    assert_closed_form_matches_collapse(model, projector, env0, ZenoSchedule(20, 0.05))
+
+
+@pytest.mark.parametrize(
+    "model",
+    [swapped_model(), interleaved_model(2, 0.8, 1.3), interleaved_model(3, 1.1, 0.7)],
+)
+def test_closed_form_matches_collapse_in_any_label_order(model):
+    rng = np.random.default_rng(17)
+    n = model.n_qubits // 2
+    projector = ZenoProjector(random_state(rng, n, SYSTEM))
+    for env0 in (zero_environment(n), random_state(rng, n, ENVIRONMENT)):
+        for m in (1, 100):
+            schedule = ZenoSchedule(m, 0.1)
+            assert_closed_form_matches_collapse(model, projector, env0, schedule)
+
+
+def test_closed_form_with_plus_environment_skips_empty_x():
+    """env0 = |+>^N puts all weight on x = 0: p(x) = 0 elsewhere, which
+    must not reach a log (warnings are errors in this suite)."""
+    rng = np.random.default_rng(5)
+    model = build_dephasing_model(3, 1.0, 0.7)
+    projector = ZenoProjector(random_state(rng, 3, SYSTEM))
+    env0 = plus_state(3, ENVIRONMENT)
+    assert zeno._x_basis_weights(env0)[1:].max() == 0.0
+    assert_closed_form_matches_collapse(model, projector, env0, ZenoSchedule(40, 0.1))
+
+
+def test_closed_form_at_a_million_measurements():
+    rng = np.random.default_rng(6)
+    model = build_dephasing_model(2, 1.0, 0.6)
+    projector = ZenoProjector(random_state(rng, 2, SYSTEM))
+    env0 = random_state(rng, 2, ENVIRONMENT)
+    values = [
+        survival_probability_exact(model, projector, env0, ZenoSchedule(10**6, tau))
+        for tau in (1e-7, 1e-4, 0.3)
+    ]
+    assert all(math.isfinite(p) and 0.0 <= p <= 1.0 for p in values)
+    assert values[0] > 0.999  # total time 0.1, deep in the Zeno regime
+    assert values[2] == 0.0  # log P is below -1e4: no double is that small
+
+
+def test_closed_form_dispatch_never_runs_the_loop(monkeypatch):
+    """Dilations diagonal in Z_S x X_E take the closed form, so they never
+    call evolve; any other rotation list reaches the collapse loop."""
+
+    def no_evolve(*args):
+        raise AssertionError("evolve called")
+
+    monkeypatch.setattr(zeno, "evolve", no_evolve)
+    schedule = ZenoSchedule(50, 0.1)
+    block = build_dephasing_model(2, 1.0, 1.0)
+    for model in (block, interleaved_model(2, 1.0, 1.0), swapped_model()):
+        p = survival_probability_exact(
+            model, ZenoProjector(ghz_state(2)), zero_environment(2), schedule
+        )
+        assert 0.0 < p < 1.0
+    mixed = DilatedEvolution(
+        (SYSTEM, ENVIRONMENT), ((1.0, PauliTerm(1.0, "ZI")), (1.0, PauliTerm(1.0, "XX")))
+    )
+    with pytest.raises(AssertionError, match="evolve called"):
+        survival_probability_exact(
+            mixed, ZenoProjector(plus_state(1)), zero_environment(1), schedule
+        )
 
 
 def test_zeno_convergence_in_measurement_number():
