@@ -3,13 +3,14 @@
 Configuration comes from an optional JSON file plus flag overrides, flags
 winning.  Exit status: 0 on success, 1 on verification failure (or a failed
 in-sweep cross-check), 2 on configuration errors, which include an output
-file that cannot be opened for writing.
+file that cannot be written; that is checked before the run starts.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import os
 import sys
 
 from .exceptions import ConfigError
@@ -76,6 +77,19 @@ def _config_from_args(args: argparse.Namespace) -> SweepConfig:
     return cfg
 
 
+def _check_writable(path: str) -> None:
+    """Fail before the run when the output file cannot be written, without
+    creating or truncating it."""
+    directory = os.path.dirname(path) or "."
+    if not os.path.isdir(directory):
+        raise ConfigError(f"cannot write {path}: no such directory {directory}")
+    if os.path.isdir(path):
+        raise ConfigError(f"cannot write {path}: is a directory")
+    target = path if os.path.exists(path) else directory
+    if not os.access(target, os.W_OK):
+        raise ConfigError(f"cannot write {path}: permission denied")
+
+
 def _write_output(text: str, path: str | None) -> None:
     if path is None:
         sys.stdout.write(text)
@@ -88,6 +102,8 @@ def _write_output(text: str, path: str | None) -> None:
 
 
 def _run(cfg: SweepConfig) -> int:
+    if cfg.output_path is not None:
+        _check_writable(cfg.output_path)
     if cfg.mode == "verify":
         report = run_verify(cfg)
         for line in report.lines():

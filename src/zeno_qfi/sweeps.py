@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import time
 from collections.abc import Iterable
 from dataclasses import dataclass, field, replace
 
@@ -376,13 +377,15 @@ def run_zeno_time(cfg: SweepConfig) -> Table:
 
 @dataclass(frozen=True)
 class VerifyCheck:
-    """One verification outcome: measured value against its threshold."""
+    """One verification outcome: measured value against its threshold, and
+    the wall time ``run_verify`` measured for the check."""
 
     name: str
     measured: float
     threshold: float
     comparison: str  # "le" or "ge"
     detail: str = ""
+    seconds: float = 0.0
 
     @property
     def passed(self) -> bool:
@@ -428,6 +431,7 @@ class VerifyReport:
                     "comparison": c.comparison,
                     "passed": c.passed,
                     "detail": c.detail,
+                    "seconds": c.seconds,
                 }
                 for c in self.checks
             ],
@@ -631,22 +635,34 @@ def _check_quadratic_order(tol: float) -> VerifyCheck:
 
 def run_verify(cfg: SweepConfig) -> VerifyReport:
     """Run the cross-module oracle suite with (possibly overridden)
-    tolerances and collect pass/fail results."""
+    tolerances and collect pass/fail results with the wall time of each
+    check.  The survivals ``zeno_monotonic`` and ``zeno_limit`` share are
+    timed with ``zeno_monotonic``."""
     tol = {**DEFAULT_TOLERANCES, **cfg.tolerances}
-    survivals = _zeno_survivals()
-    checks = [
-        _check_kraus_completeness(tol["kraus_completeness"]),
-        _check_channel_vs_partial_trace(tol["channel_vs_partial_trace"], cfg.seed),
-        _check_solver_vs_sld(tol["solver_vs_sld"]),
-        _check_solver_vs_closed_form(tol["solver_vs_closed_form"]),
-        _check_ansatz_bounds_true_qfi(tol["ansatz_bounds_true_qfi"]),
+    checks: list[VerifyCheck] = []
+    start = time.perf_counter()
+
+    def timed(check: VerifyCheck) -> None:
+        # The argument is evaluated first, so the check has run by now.
+        nonlocal start
+        now = time.perf_counter()
+        checks.append(replace(check, seconds=now - start))
+        start = now
+
+    timed(_check_kraus_completeness(tol["kraus_completeness"]))
+    timed(_check_channel_vs_partial_trace(tol["channel_vs_partial_trace"], cfg.seed))
+    timed(_check_solver_vs_sld(tol["solver_vs_sld"]))
+    timed(_check_solver_vs_closed_form(tol["solver_vs_closed_form"]))
+    timed(_check_ansatz_bounds_true_qfi(tol["ansatz_bounds_true_qfi"]))
+    timed(
         _check_survival_closed_vs_collapse(
             tol["survival_closed_vs_collapse"], cfg.seed
-        ),
-        _check_zeno_monotonic(tol["zeno_monotonic"], survivals),
-        _check_zeno_limit(tol["zeno_limit"], survivals),
-        _check_quadratic_order(tol["quadratic_order"]),
-    ]
+        )
+    )
+    survivals = _zeno_survivals()
+    timed(_check_zeno_monotonic(tol["zeno_monotonic"], survivals))
+    timed(_check_zeno_limit(tol["zeno_limit"], survivals))
+    timed(_check_quadratic_order(tol["quadratic_order"]))
     return VerifyReport(checks)
 
 

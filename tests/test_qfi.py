@@ -5,9 +5,14 @@ import pytest
 
 from zeno_qfi.channels import DilatedEvolution, build_dephasing_model, generator
 from zeno_qfi.dense import DenseOperator
-from zeno_qfi.exceptions import DenseCapError, PoleProximityError
-from zeno_qfi.paulis import OperatorSum, PauliTerm, to_dense
+from zeno_qfi.exceptions import (
+    DenseCapError,
+    DimensionMismatchError,
+    PoleProximityError,
+)
+from zeno_qfi.paulis import OperatorSum, PauliTerm, _applied_vector, to_dense
 from zeno_qfi.qfi import (
+    GRAM_CUTOFF,
     SLD_EIGENVALUE_FLOOR,
     AnalyticParams,
     EnvOperatorBasis,
@@ -30,6 +35,7 @@ from zeno_qfi.qfi import (
 from zeno_qfi.states import (
     ENVIRONMENT,
     SYSTEM,
+    StateVector,
     basis_state,
     ghz_state,
     plus_state,
@@ -57,13 +63,17 @@ def minimize_by_gradient_descent(
 ):
     """Oracle: plain gradient descent on the solver's own quadratic, so only
     the solve differs from minimize_qfi_bound."""
-    base_vec, vecs, gram, cross = _normal_equations(h_hat, basis, psi_full, tau)
+    phi, base_vec, vecs, gram, cross = _normal_equations(h_hat, basis, psi_full, tau)
     scale = max(float(np.abs(gram).max()), 1.0)
     coeff = np.zeros(len(cross))
     for _ in range(steps):
         coeff = coeff - learning_rate * (gram @ coeff + cross) / scale
     return VariationalSolution(
-        coeff, _bound_at(coeff, base_vec, vecs, psi_full), float("nan")
+        coeff,
+        _bound_at(coeff, phi, base_vec, vecs),
+        float("nan"),
+        int(np.linalg.matrix_rank(gram, rtol=GRAM_CUTOFF, hermitian=True)),
+        float(np.linalg.norm(gram @ coeff + cross)),
     )
 
 
@@ -277,6 +287,87 @@ def test_gram_condition_reported():
     basis = EnvOperatorBasis.single_qubit_paulis(model.labels)
     sol = minimize_qfi_bound(h_hat, basis, product_input(1), 0.5)
     assert sol.gram_condition >= 1.0
+
+
+@pytest.mark.parametrize(
+    "n, gamma, input_state, basis_kind, rank",
+    [
+        (1, 0.0, product_input, EnvOperatorBasis.single_qubit_paulis, 2),
+        (2, 1.0, ghz_input, EnvOperatorBasis.complete, 11),
+    ],
+)
+def test_solver_reports_rank_and_residual(n, gamma, input_state, basis_kind, rank):
+    """Decoupled, the environment stays in |0>, an eigenstate of Z_E, so
+    that element carries no covariance and the rank is 2 of 3.  On GHZ at
+    N = 2 the complete basis keeps 11 of its 15 directions."""
+    model, h_hat = model_setup(n, 1.0, gamma)
+    basis = basis_kind(model.labels)
+    sol = minimize_qfi_bound(h_hat, basis, input_state(n), 0.5)
+    assert sol.rank == rank < len(basis.elements)
+    assert 0.0 <= sol.residual < 1e-12
+
+
+@pytest.mark.parametrize("kind", ["commuting", "non-commuting", "dense"])
+def test_evolved_frame_matches_heisenberg_picture(kind):
+    """Gram matrix, cross covariances and bound built on phi = U|psi> with
+    the plain basis equal the ones built on psi from the conjugated basis
+    U^dag h_k U of ``conjugate_env_operator``, for a commuting Pauli sum
+    (rotations), a non-commuting one and a dense matrix (both through one
+    dense exponential)."""
+    rng = np.random.default_rng(101)
+    model, commuting = model_setup(2, 0.9, 1.3)
+    a = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
+    h_hat, labels = {
+        "commuting": (commuting, model.labels),
+        "non-commuting": (
+            OperatorSum([PauliTerm(0.5, "ZI"), PauliTerm(0.5, "XI")]),
+            (SYSTEM, ENVIRONMENT),
+        ),
+        "dense": (DenseOperator((a + a.conj().T) / 2), model.labels),
+    }[kind]
+    amps = rng.normal(size=2 ** len(labels)) + 1j * rng.normal(size=2 ** len(labels))
+    psi = StateVector(amps, labels).normalized()
+    basis = EnvOperatorBasis.complete(labels)
+    tau = 0.7
+
+    heisenberg = np.stack(
+        [
+            _applied_vector(conjugate_env_operator(h, h_hat, tau), psi)
+            for h in basis.elements
+        ]
+    )
+    base_vec = _applied_vector(h_hat, psi)
+    means = (heisenberg.conj() @ psi.amplitudes).real
+    base_mean = float(np.vdot(psi.amplitudes, base_vec).real)
+    gram = (heisenberg.conj() @ heisenberg.T).real - np.outer(means, means)
+    cross = (heisenberg.conj() @ base_vec).real - base_mean * means
+
+    def bound(coeff):
+        combined = base_vec + coeff @ heisenberg
+        mean = float(np.vdot(psi.amplitudes, combined).real)
+        return 4.0 * (float(np.vdot(combined, combined).real) - mean**2)
+
+    phi, phi_base, vecs, got_gram, got_cross = _normal_equations(
+        h_hat, basis, psi, tau
+    )
+    np.testing.assert_allclose(got_gram, gram, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(got_cross, cross, rtol=0, atol=1e-12)
+    coeff = rng.normal(size=len(basis.elements))
+    assert _bound_at(coeff, phi, phi_base, vecs) == pytest.approx(
+        bound(coeff), rel=0, abs=1e-12
+    )
+    sol = minimize_qfi_bound(h_hat, basis, psi, tau)
+    assert sol.qfi == pytest.approx(bound(sol.coefficients), rel=0, abs=1e-12)
+
+
+@pytest.mark.parametrize("dense", [False, True])
+def test_minimize_rejects_state_on_wrong_register(dense):
+    model, h_hat = model_setup(2, 1.0, 1.0)
+    if dense:
+        h_hat = to_dense(h_hat)
+    basis = EnvOperatorBasis.single_qubit_paulis(model.labels)
+    with pytest.raises(DimensionMismatchError):
+        minimize_qfi_bound(h_hat, basis, product_input(1), 0.5)
 
 
 # ---- closed-form optimum ----

@@ -259,6 +259,9 @@ def test_verify_report_lines_and_json():
     assert all(line.startswith(("PASS", "FAIL", "verification")) for line in lines)
     payload = json.loads(report.to_json_text())
     assert payload["all_passed"] is True
+    seconds = [check["seconds"] for check in payload["checks"]]
+    assert len(seconds) == len(lines) - 1
+    assert all(s >= 0.0 for s in seconds) and sum(seconds) > 0.0
 
 
 # ---- CLI process behavior ----
@@ -425,12 +428,14 @@ def test_cli_rejects_empty_output_path(tmp_path, capsys, mode):
 
 @pytest.mark.parametrize("mode", ["verify", "zeno-time"])
 def test_cli_unwritable_output_is_a_config_error(tmp_path, capsys, mode):
-    """An output file that cannot be opened gives one config error line and
-    exit 2, not a traceback."""
-    out = tmp_path / "missing" / "x.csv"
-    assert run([mode, "--n", "1", "--out", str(out)]) == 2
-    captured = capsys.readouterr()
-    lines = captured.err.splitlines()
-    assert len(lines) == 1
-    assert lines[0].startswith(f"config error: cannot write {out}: ")
-    assert not out.exists()
+    """An output file that cannot be opened (its directory is missing, or
+    it is a directory) gives one config error line and exit 2 before the
+    run starts: nothing is printed and nothing is created."""
+    for out in (tmp_path / "missing" / "x.csv", tmp_path):
+        assert run([mode, "--n", "1", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"config error: cannot write {out}: ")
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
