@@ -59,10 +59,6 @@ class PauliTerm:
     def n_qubits(self) -> int:
         return len(self.factors)
 
-    @property
-    def is_identity(self) -> bool:
-        return set(self.factors) == {"I"}
-
     def scaled(self, scalar: complex) -> "PauliTerm":
         return PauliTerm(self.coefficient * scalar, self.factors)
 
@@ -212,29 +208,31 @@ def _rotate(factors: str, theta: float, amplitudes: np.ndarray) -> np.ndarray:
     return out
 
 
+def _applied_vector(op, amplitudes: np.ndarray) -> np.ndarray:
+    """Amplitudes of O|psi> for a PauliTerm, an OperatorSum or a
+    DenseOperator, summed term by term for a Pauli sum."""
+    if isinstance(op, DenseOperator):
+        if op.dim != amplitudes.size:
+            raise DimensionMismatchError("dense operator does not match state size")
+        return op.matrix @ amplitudes
+    if isinstance(op, PauliTerm):
+        op = OperatorSum((op,), hermitian=abs(op.coefficient.imag) <= HERMITICITY_TOL)
+    if 2**op.n_qubits != amplitudes.size:
+        raise DimensionMismatchError(
+            f"operator on {op.n_qubits} qubits applied to {amplitudes.size} amplitudes"
+        )
+    out = np.zeros_like(amplitudes)
+    for t in op.terms:
+        out += _apply_string(t.factors, amplitudes, t.coefficient)
+    return out
+
+
 def apply_operator(op, state: StateVector) -> StateVector:
     """Apply a PauliTerm or OperatorSum to a state (result unnormalized).
 
     Cost is O(terms * 2^n); no dense matrix is formed.
     """
-    if isinstance(op, PauliTerm):
-        op = OperatorSum((op,), hermitian=abs(op.coefficient.imag) <= HERMITICITY_TOL)
-    if op.n_qubits != state.n_qubits:
-        raise DimensionMismatchError(
-            f"operator on {op.n_qubits} qubits applied to {state.n_qubits}-qubit state"
-        )
-    out = np.zeros_like(state.amplitudes)
-    for t in op.terms:
-        out += _apply_string(t.factors, state.amplitudes, t.coefficient)
-    return StateVector(out, state.labels)
-
-
-def _applied_vector(op, state: StateVector) -> np.ndarray:
-    if isinstance(op, DenseOperator):
-        if op.dim != state.dim:
-            raise DimensionMismatchError("dense operator does not match state size")
-        return op.matrix @ state.amplitudes
-    return apply_operator(op, state).amplitudes
+    return StateVector(_applied_vector(op, state.amplitudes), state.labels)
 
 
 def expectation(op, state: StateVector) -> float:
@@ -248,7 +246,7 @@ def expectation(op, state: StateVector) -> float:
         raise HermiticityError("expectation requires a Hermitian operator sum")
     if isinstance(op, DenseOperator) and not op.is_hermitian():
         raise HermiticityError("expectation requires a Hermitian matrix")
-    value = complex(np.vdot(state.amplitudes, _applied_vector(op, state)))
+    value = complex(np.vdot(state.amplitudes, _applied_vector(op, state.amplitudes)))
     if abs(value.imag) > IMAG_RESIDUE_TOL:
         raise HermiticityError(f"imaginary residue {value.imag:.3e} exceeds tolerance")
     return float(value.real)
@@ -264,7 +262,7 @@ def variance(op, state: StateVector) -> float:
         raise HermiticityError("variance requires a Hermitian operator sum")
     if isinstance(op, DenseOperator) and not op.is_hermitian():
         raise HermiticityError("variance requires a Hermitian matrix")
-    vec = _applied_vector(op, state)
+    vec = _applied_vector(op, state.amplitudes)
     mean = complex(np.vdot(state.amplitudes, vec))
     if abs(mean.imag) > IMAG_RESIDUE_TOL:
         raise HermiticityError(f"imaginary residue {mean.imag:.3e} exceeds tolerance")

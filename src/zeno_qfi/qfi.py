@@ -56,6 +56,7 @@ from .zeno import zeno_time
 POLE_TOL = 1e-8
 GRAM_CUTOFF = 1e-10
 SLD_EIGENVALUE_FLOOR = 1e-10
+DENSITY_TOL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -257,19 +258,19 @@ def _normal_equations(h_hat, basis, psi_full: StateVector, tau):
     covariances with H_hat.  Real parts of inner products come from the
     float64 views, where Re<a|b> is a plain dot product.
     """
-    phi = StateVector(_evolved_state(h_hat, psi_full, tau), psi_full.labels)
+    if basis.labels != psi_full.labels:
+        raise DimensionMismatchError("basis register does not match the state register")
+    phi = _evolved_state(h_hat, psi_full, tau)
     base_vec = _applied_vector(h_hat, phi)
-    vecs = np.empty((len(basis.elements), phi.dim), dtype=np.complex128)
+    vecs = np.empty((len(basis.elements), phi.size), dtype=np.complex128)
     for k, h in enumerate(basis.elements):
         vecs[k] = _applied_vector(h, phi)
-    real, phi_real, base_real = (
-        a.view(np.float64) for a in (vecs, phi.amplitudes, base_vec)
-    )
+    real, phi_real, base_real = (a.view(np.float64) for a in (vecs, phi, base_vec))
     means = real @ phi_real
     base_mean = float(phi_real @ base_real)
     gram = real @ real.T - np.outer(means, means)
     cross = real @ base_real - base_mean * means
-    return phi.amplitudes, base_vec, vecs, gram, cross
+    return phi, base_vec, vecs, gram, cross
 
 
 def _bound_at(coeff, phi, base_vec, vecs) -> float:
@@ -293,7 +294,9 @@ def minimize_qfi_bound(
     the evolved state (see ``_normal_equations``).  Degenerate Gram matrices
     are handled by a pseudo-inverse with singular values below 1e-10 of the
     largest treated as zero; the raw condition number, the rank kept and
-    the residual |G c + b| are reported for diagnostics.
+    the residual |G c + b| are reported for diagnostics.  A basis whose
+    labels differ from the state's raises ``DimensionMismatchError``: its
+    "environment" operators would act on system qubits.
     """
     phi, base_vec, vecs, gram, cross = _normal_equations(h_hat, basis, psi_full, tau)
     u, s, vt = np.linalg.svd(gram, hermitian=True)
@@ -410,12 +413,26 @@ def zeno_time_bound(
 
 
 def _density_from_initial(initial) -> tuple[np.ndarray, np.ndarray]:
-    """System columns F and weights W with rho_0 = F W F^dag."""
+    """System columns F and weights W with rho_0 = F W F^dag.
+
+    A vector must be normalized; a matrix must be a density matrix (to
+    ``DENSITY_TOL``: Hermitian, unit trace, no negative eigenvalue), of any
+    rank.
+    """
     if isinstance(initial, StateVector):
         if initial.count(ENVIRONMENT):
             raise ValueError("initial state must live on system qubits only")
+        if not initial.is_normalized():
+            raise ValueError("initial state must be normalized")
         return initial.amplitudes[:, None], np.ones((1, 1))
     if isinstance(initial, DenseOperator):
+        if not initial.is_hermitian(DENSITY_TOL):
+            raise ValueError("initial density matrix must be Hermitian")
+        if abs(initial.trace - 1.0) > DENSITY_TOL:
+            raise ValueError(f"initial density matrix has trace {initial.trace.real:.6g}")
+        lowest = float(np.linalg.eigvalsh(initial.matrix)[0])
+        if lowest < -DENSITY_TOL:
+            raise ValueError(f"initial density matrix has eigenvalue {lowest:.3e}")
         return np.eye(initial.dim), initial.matrix
     raise TypeError("initial must be a StateVector or DenseOperator")
 
@@ -450,7 +467,9 @@ def qfi_sld_oracle(evolution: DilatedEvolution, initial, tau: float) -> float:
         raise DimensionMismatchError("initial state does not match the system register")
     gen = generator(evolution)
     evolved = _evolved_columns(evolution, columns, tau)
-    derivatives = [StateVector(-1j * _applied_vector(gen, e), e.labels) for e in evolved]
+    derivatives = [
+        StateVector(-1j * _applied_vector(gen, e.amplitudes), e.labels) for e in evolved
+    ]
     v = np.stack([system_env_matrix(e) for e in evolved])
     dv = np.stack([system_env_matrix(d) for d in derivatives])
     # conj_weighted[k] = sum_k' W_kk' V_k'^*, so rho_S[a, c] sums

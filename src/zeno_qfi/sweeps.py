@@ -9,12 +9,14 @@ configuration.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import numbers
 import time
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -74,19 +76,6 @@ _DEFAULT_N = {
     "zeno-time": (1, 2, 4, 8),
     "verify": (),
 }
-
-DEFAULT_TOLERANCES = {
-    "kraus_completeness": 1e-10,
-    "channel_vs_partial_trace": 1e-10,
-    "solver_vs_sld": 1e-5,
-    "solver_vs_closed_form": 1e-8,
-    "ansatz_bounds_true_qfi": -1e-8,
-    "zeno_monotonic": -1e-12,
-    "zeno_limit": 0.98,
-    "quadratic_order": 1.1,
-    "survival_closed_vs_collapse": 1e-12,
-}
-
 
 def _is_finite_number(value) -> bool:
     """A finite real number; JSON ``true``/``false`` are not numbers here."""
@@ -295,21 +284,34 @@ def run_ratio_vs_n(cfg: SweepConfig) -> Table:
     return table
 
 
-def _cross_check_against_solver(n: int, g: float, tau: float) -> float:
-    """Max relative error of the variational solver against the closed
-    forms for one (N, gamma) point; both state families."""
-    model = build_dephasing_model(n, 1.0, g)
-    h_hat = generator(model)
-    basis = EnvOperatorBasis.single_qubit_paulis(model.labels)
-    p = AnalyticParams(n=n, omega0=1.0, gamma=g, tau=tau)
-    worst = 0.0
-    for state, reference in (
-        (tensor_state(ghz_state(n), zero_environment(n)), qfi_ghz(p)),
-        (tensor_state(plus_state(n), zero_environment(n)), qfi_separable(p)),
-    ):
-        solved = minimize_qfi_bound(h_hat, basis, state, tau).qfi
-        worst = max(worst, abs(solved - reference) / abs(reference))
-    return worst
+def _relative_gaps(grid, taus, inputs):
+    """(minimum - reference) / |reference| of the per-qubit-basis minimum
+    at each (N, omega0, gamma) grid point, interval and input.
+
+    ``inputs(model, p)`` lists (system state, reference value) pairs; each
+    state is paired with |0...0>_E.  Generator and basis are built once per
+    model.
+    """
+    for n, omega0, gamma in grid:
+        model = build_dephasing_model(n, omega0, gamma)
+        h_hat = generator(model)
+        basis = EnvOperatorBasis.single_qubit_paulis(model.labels)
+        for tau in taus:
+            p = AnalyticParams(n=n, omega0=omega0, gamma=gamma, tau=tau)
+            for system, reference in inputs(model, p):
+                full = tensor_state(system, zero_environment(n))
+                solved = minimize_qfi_bound(h_hat, basis, full, tau).qfi
+                yield (solved - reference) / abs(reference)
+
+
+def _solver_vs_closed_form(grid, taus) -> float:
+    """Max relative error of the solver against the closed forms on both
+    state families."""
+
+    def inputs(model, p):
+        return ((ghz_state(p.n), qfi_ghz(p)), (plus_state(p.n), qfi_separable(p)))
+
+    return max(abs(gap) for gap in _relative_gaps(grid, taus, inputs))
 
 
 def run_qfi_vs_gamma(cfg: SweepConfig) -> Table:
@@ -335,7 +337,7 @@ def run_qfi_vs_gamma(cfg: SweepConfig) -> Table:
         if n > 3 or not usable_gammas[n]:
             continue
         g = float(rng.choice(usable_gammas[n]))
-        err = _cross_check_against_solver(n, g, tau)
+        err = _solver_vs_closed_form([(n, 1.0, g)], [tau])
         if err > DEFAULT_TOLERANCES["solver_vs_closed_form"]:
             raise RuntimeError(
                 f"solver cross-check failed at N={n}, gamma={g:g}: "
@@ -445,15 +447,13 @@ def _random_density(rng: np.random.Generator, dim: int) -> DenseOperator:
     return DenseOperator(rho / np.trace(rho))
 
 
-def _check_kraus_completeness(tol: float) -> VerifyCheck:
+def _kraus_completeness(seed: int) -> float:
     model = build_dephasing_model(1, 1.0, 1.0)
-    worst = 0.0
-    for t in (0.1, 0.5, 1.0, 2.0, math.pi, 5.0):
-        worst = max(worst, kraus_from_dilation(model, t).completeness_residual)
-    return VerifyCheck("kraus_completeness", worst, tol, "le", "one-qubit model, 6 times")
+    times = (0.1, 0.5, 1.0, 2.0, math.pi, 5.0)
+    return max(kraus_from_dilation(model, t).completeness_residual for t in times)
 
 
-def _check_channel_vs_partial_trace(tol: float, seed: int) -> VerifyCheck:
+def _channel_vs_partial_trace(seed: int) -> float:
     rng = np.random.default_rng(seed)
     model = build_dephasing_model(1, 1.0, 1.0)
     # The environment starts in |0>, so U rho U^dag on the register needs
@@ -470,77 +470,34 @@ def _check_channel_vs_partial_trace(tol: float, seed: int) -> VerifyCheck:
             DenseOperator(cols @ rho.matrix @ cols.conj().T), model.labels, SYSTEM
         ).matrix
         worst = max(worst, float(np.abs(via_kraus - via_trace).max()))
-    return VerifyCheck(
-        "channel_vs_partial_trace", worst, tol, "le", "50 random density matrices"
-    )
+    return worst
 
 
-def _check_solver_vs_sld(tol: float) -> VerifyCheck:
-    """Variational minimum against the SLD oracle where the per-qubit basis
-    is exhaustive: any state at N=1, product states at any N."""
-    worst = 0.0
-    for n in (1, 2, 3):
-        for omega0 in (0.5, 1.0, 1.2):
-            for gamma in (0.5, 1.0, 1.2):
-                model = build_dephasing_model(n, omega0, gamma)
-                h = generator(model)
-                basis = EnvOperatorBasis.single_qubit_paulis(model.labels)
-                systems = [plus_state(n)] + ([ghz_state(n)] if n == 1 else [])
-                for tau in (0.1, 0.5):
-                    for system in systems:
-                        full = tensor_state(system, zero_environment(n))
-                        solved = minimize_qfi_bound(h, basis, full, tau).qfi
-                        oracle = qfi_sld_oracle(model, system, tau)
-                        worst = max(worst, abs(solved - oracle) / abs(oracle))
-    return VerifyCheck(
-        "solver_vs_sld", worst, tol, "le", "N<=3 grid, product inputs and N=1"
-    )
+_RATES = (0.5, 1.0, 1.2)
 
 
-def _check_ansatz_bounds_true_qfi(tol: float) -> VerifyCheck:
+def _solver_vs_sld(seed: int) -> float:
+    """Solver against the SLD oracle where the per-qubit basis is
+    exhaustive: any state at N=1, product states at any N."""
+
+    def inputs(model, p):
+        systems = [plus_state(p.n)] + ([ghz_state(p.n)] if p.n == 1 else [])
+        return [(s, qfi_sld_oracle(model, s, p.tau)) for s in systems]
+
+    grid = itertools.product((1, 2, 3), _RATES, _RATES)
+    return max(abs(gap) for gap in _relative_gaps(grid, (0.1, 0.5), inputs))
+
+
+def _ansatz_bounds_true_qfi(seed: int) -> float:
     """On entangled inputs the per-qubit ansatz minimum may exceed the
-    channel QFI but can never undercut it; measure the most negative
-    (solver - oracle) gap."""
-    most_negative = math.inf
-    for n in (2, 3):
-        for gamma in (0.5, 1.0):
-            model = build_dephasing_model(n, 1.0, gamma)
-            h = generator(model)
-            basis = EnvOperatorBasis.single_qubit_paulis(model.labels)
-            for tau in (0.1, 0.5):
-                full = tensor_state(ghz_state(n), zero_environment(n))
-                solved = minimize_qfi_bound(h, basis, full, tau).qfi
-                oracle = qfi_sld_oracle(model, ghz_state(n), tau)
-                most_negative = min(most_negative, (solved - oracle) / abs(oracle))
-    return VerifyCheck(
-        "ansatz_bounds_true_qfi",
-        most_negative,
-        tol,
-        "ge",
-        "entangled inputs, N in {2,3}",
-    )
+    channel QFI but can never undercut it: the most negative gap."""
 
+    def inputs(model, p):
+        ghz = ghz_state(p.n)
+        return [(ghz, qfi_sld_oracle(model, ghz, p.tau))]
 
-def _check_solver_vs_closed_form(tol: float) -> VerifyCheck:
-    worst = 0.0
-    for n in (1, 2, 3, 4):
-        for omega0 in (0.5, 1.0, 1.2):
-            for gamma in (0.5, 1.0, 1.2):
-                model = build_dephasing_model(n, omega0, gamma)
-                h_hat = generator(model)
-                basis = EnvOperatorBasis.single_qubit_paulis(model.labels)
-                for tau in (0.1, 0.5, 1.0):
-                    p = AnalyticParams(n=n, omega0=omega0, gamma=gamma, tau=tau)
-                    for system, reference in (
-                        (ghz_state(n), qfi_ghz(p)),
-                        (plus_state(n), qfi_separable(p)),
-                    ):
-                        full = tensor_state(system, zero_environment(n))
-                        solved = minimize_qfi_bound(h_hat, basis, full, tau).qfi
-                        worst = max(worst, abs(solved - reference) / abs(reference))
-    return VerifyCheck(
-        "solver_vs_closed_form", worst, tol, "le", "N<=4 grid, both state families"
-    )
+    grid = itertools.product((2, 3), (1.0,), (0.5, 1.0))
+    return min(_relative_gaps(grid, (0.1, 0.5), inputs))
 
 
 def _random_pure(rng: np.random.Generator, n: int, label: Subsystem) -> StateVector:
@@ -548,7 +505,7 @@ def _random_pure(rng: np.random.Generator, n: int, label: Subsystem) -> StateVec
     return StateVector(amps, (label,) * n).normalized()
 
 
-def _check_survival_closed_vs_collapse(tol: float, seed: int) -> VerifyCheck:
+def _survival_closed_vs_collapse(seed: int) -> float:
     """The closed-form survival against the collapse loop, on random system
     and environment states, N in {1, 2, 3} and the two-pair model on an
     interleaved (S, E, S, E) register."""
@@ -575,42 +532,21 @@ def _check_survival_closed_vs_collapse(tol: float, seed: int) -> VerifyCheck:
             closed = survival_probability_exact(model, projector, env0, schedule)
             loop = _survival_by_collapse(model, projector, env0, schedule)
             worst = max(worst, abs(closed - loop) / loop)
-    return VerifyCheck(
-        "survival_closed_vs_collapse",
-        worst,
-        tol,
-        "le",
-        "N<=3 and (S,E,S,E), m in {1,50}, random states",
-    )
+    return worst
 
 
 def _zeno_survivals() -> list[float]:
+    """Survival over unit total time, m doubling from 1 to 256."""
     model = build_dephasing_model(1, 1.0, 1.0)
     projector = ZenoProjector(plus_state(1))
     env0 = zero_environment(1)
-    total_time = 1.0
-    values = []
-    for m in (1, 2, 4, 8, 16, 32, 64, 128, 256):
-        values.append(
-            survival_probability_exact(
-                model, projector, env0, ZenoSchedule(m, total_time / m)
-            )
-        )
-    return values
+    return [
+        survival_probability_exact(model, projector, env0, ZenoSchedule(m, 1.0 / m))
+        for m in (1, 2, 4, 8, 16, 32, 64, 128, 256)
+    ]
 
 
-def _check_zeno_monotonic(tol: float, values: list[float]) -> VerifyCheck:
-    smallest_step = min(b - a for a, b in zip(values, values[1:]))
-    return VerifyCheck(
-        "zeno_monotonic", smallest_step, tol, "ge", "m doubling from 1 to 256"
-    )
-
-
-def _check_zeno_limit(tol: float, values: list[float]) -> VerifyCheck:
-    return VerifyCheck("zeno_limit", values[-1], tol, "ge", "P at m=256")
-
-
-def _check_quadratic_order(tol: float) -> VerifyCheck:
+def _quadratic_order(seed: int) -> float:
     model = build_dephasing_model(1, 1.0, 1.0)
     projector = ZenoProjector(plus_state(1))
     env0 = zero_environment(1)
@@ -623,46 +559,80 @@ def _check_quadratic_order(tol: float) -> VerifyCheck:
         exact = survival_probability_exact(model, projector, env0, schedule)
         quad = survival_probability_quadratic(h_hat, psi_full, schedule)
         ratios.append(abs(exact - quad) / (m * tau**3))
-    measured = max(r / ratios[0] for r in ratios) if ratios[0] > 0 else 0.0
-    return VerifyCheck(
-        "quadratic_order",
-        measured,
-        tol,
-        "le",
-        "error/(m tau^3) ratio across tau halvings",
-    )
+    return max(r / ratios[0] for r in ratios) if ratios[0] > 0 else 0.0
+
+
+class _Check(NamedTuple):
+    """One row of the verification suite; ``measure(seed)`` returns the
+    value compared against the threshold."""
+
+    name: str
+    threshold: float
+    comparison: str
+    detail: str
+    measure: Callable[[int], float]
+
+
+_CHECKS = (
+    _Check(
+        "kraus_completeness", 1e-10, "le", "one-qubit model, 6 times",
+        _kraus_completeness,
+    ),
+    _Check(
+        "channel_vs_partial_trace", 1e-10, "le", "50 random density matrices",
+        _channel_vs_partial_trace,
+    ),
+    _Check(
+        "solver_vs_sld", 1e-5, "le", "N<=3 grid, product inputs and N=1",
+        _solver_vs_sld,
+    ),
+    _Check(
+        "solver_vs_closed_form", 1e-8, "le", "N<=4 grid, both state families",
+        lambda seed: _solver_vs_closed_form(
+            itertools.product((1, 2, 3, 4), _RATES, _RATES), (0.1, 0.5, 1.0)
+        ),
+    ),
+    _Check(
+        "ansatz_bounds_true_qfi", -1e-8, "ge", "entangled inputs, N in {2,3}",
+        _ansatz_bounds_true_qfi,
+    ),
+    _Check(
+        "survival_closed_vs_collapse", 1e-12, "le",
+        "N<=3 and (S,E,S,E), m in {1,50}, random states",
+        _survival_closed_vs_collapse,
+    ),
+    _Check(
+        "zeno_monotonic", -1e-12, "ge", "m doubling from 1 to 256",
+        lambda seed: min(b - a for a, b in itertools.pairwise(_zeno_survivals())),
+    ),
+    _Check(
+        "zeno_limit", 0.98, "ge", "P at m=256",
+        lambda seed: _zeno_survivals()[-1],
+    ),
+    _Check(
+        "quadratic_order", 1.1, "le", "error/(m tau^3) ratio across tau halvings",
+        _quadratic_order,
+    ),
+)
+
+DEFAULT_TOLERANCES = {check.name: check.threshold for check in _CHECKS}
 
 
 def run_verify(cfg: SweepConfig) -> VerifyReport:
-    """Run the cross-module oracle suite with (possibly overridden)
-    tolerances and collect pass/fail results with the wall time of each
-    check.  The survivals ``zeno_monotonic`` and ``zeno_limit`` share are
-    timed with ``zeno_monotonic``."""
+    """Run the cross-module oracle suite in table order with (possibly
+    overridden) thresholds, timing each check's measure."""
     tol = {**DEFAULT_TOLERANCES, **cfg.tolerances}
-    checks: list[VerifyCheck] = []
-    start = time.perf_counter()
-
-    def timed(check: VerifyCheck) -> None:
-        # The argument is evaluated first, so the check has run by now.
-        nonlocal start
-        now = time.perf_counter()
-        checks.append(replace(check, seconds=now - start))
-        start = now
-
-    timed(_check_kraus_completeness(tol["kraus_completeness"]))
-    timed(_check_channel_vs_partial_trace(tol["channel_vs_partial_trace"], cfg.seed))
-    timed(_check_solver_vs_sld(tol["solver_vs_sld"]))
-    timed(_check_solver_vs_closed_form(tol["solver_vs_closed_form"]))
-    timed(_check_ansatz_bounds_true_qfi(tol["ansatz_bounds_true_qfi"]))
-    timed(
-        _check_survival_closed_vs_collapse(
-            tol["survival_closed_vs_collapse"], cfg.seed
+    checks = []
+    for check in _CHECKS:
+        start = time.perf_counter()
+        measured = check.measure(cfg.seed)
+        seconds = time.perf_counter() - start
+        checks.append(
+            VerifyCheck(
+                check.name, measured, tol[check.name], check.comparison,
+                check.detail, seconds,
+            )
         )
-    )
-    survivals = _zeno_survivals()
-    timed(_check_zeno_monotonic(tol["zeno_monotonic"], survivals))
-    timed(_check_zeno_limit(tol["zeno_limit"], survivals))
-    timed(_check_quadratic_order(tol["quadratic_order"]))
     return VerifyReport(checks)
 
 

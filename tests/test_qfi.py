@@ -332,11 +332,11 @@ def test_evolved_frame_matches_heisenberg_picture(kind):
 
     heisenberg = np.stack(
         [
-            _applied_vector(conjugate_env_operator(h, h_hat, tau), psi)
+            _applied_vector(conjugate_env_operator(h, h_hat, tau), psi.amplitudes)
             for h in basis.elements
         ]
     )
-    base_vec = _applied_vector(h_hat, psi)
+    base_vec = _applied_vector(h_hat, psi.amplitudes)
     means = (heisenberg.conj() @ psi.amplitudes).real
     base_mean = float(np.vdot(psi.amplitudes, base_vec).real)
     gram = (heisenberg.conj() @ heisenberg.T).real - np.outer(means, means)
@@ -368,6 +368,30 @@ def test_minimize_rejects_state_on_wrong_register(dense):
     basis = EnvOperatorBasis.single_qubit_paulis(model.labels)
     with pytest.raises(DimensionMismatchError):
         minimize_qfi_bound(h_hat, basis, product_input(1), 0.5)
+
+
+def test_minimize_rejects_basis_for_another_register_order():
+    """Two GHZ pairs on (S, E, S, E): the basis built for (S, S, E, E) has
+    "environment" operators on the second system qubit and gave 2.000,
+    below the channel QFI 4.113; the matching basis gives the bound 4.505."""
+    block = build_dephasing_model(2, 1.0, 1.0)
+    model = DilatedEvolution(
+        (SYSTEM, ENVIRONMENT) * 2,
+        [
+            (rate, PauliTerm(1.0, "".join(p.factors[i] for i in (0, 2, 1, 3))))
+            for rate, p in block.rotations
+        ],
+    )
+    amps = np.zeros(16)
+    amps[0b0000] = amps[0b1010] = 2**-0.5
+    psi = StateVector(amps, model.labels)
+    h_hat = generator(model)
+    oracle = qfi_sld_oracle(model, ghz_state(2), 0.5)
+    matching = EnvOperatorBasis.single_qubit_paulis(model.labels)
+    assert minimize_qfi_bound(h_hat, matching, psi, 0.5).qfi >= oracle
+    blocked = EnvOperatorBasis.single_qubit_paulis(block.labels)
+    with pytest.raises(DimensionMismatchError, match="basis register"):
+        minimize_qfi_bound(h_hat, blocked, psi, 0.5)
 
 
 # ---- closed-form optimum ----
@@ -566,6 +590,25 @@ def test_oracle_accepts_density_matrix_input():
     via_state = qfi_sld_oracle(model, plus_state(1), 0.5)
     via_density = qfi_sld_oracle(model, rho, 0.5)
     assert via_density == pytest.approx(via_state, rel=1e-10)
+
+
+@pytest.mark.parametrize(
+    "initial, match",
+    [
+        (DenseOperator([[1.0, 1.0], [1.0, 1.0]]), "trace"),
+        (StateVector([1.0, 1.0], (SYSTEM,)), "normalized"),
+        (DenseOperator([[0.5, 0.5], [0.0, 0.5]]), "Hermitian"),
+        (DenseOperator(np.diag([1.5, -0.5])), "eigenvalue"),
+    ],
+    ids=["twice-a-state", "unnormalized-vector", "non-hermitian", "negative"],
+)
+def test_oracle_rejects_inputs_that_are_not_states(initial, match):
+    """Each of these used to return a number (3.540, 3.540, 0.250, 8e-34
+    against 1.770 for |+><+|); a rank-deficient density matrix stays valid
+    (``test_oracle_accepts_density_matrix_input``)."""
+    model = build_dephasing_model(1, 1.0, 1.0)
+    with pytest.raises(ValueError, match=match):
+        qfi_sld_oracle(model, initial, 0.5)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])

@@ -11,6 +11,7 @@ from zeno_qfi.cli import run
 from zeno_qfi.exceptions import ConfigError
 from zeno_qfi.qfi import AnalyticParams, qfi_ghz, qfi_separable
 from zeno_qfi.sweeps import (
+    DEFAULT_TOLERANCES,
     SweepConfig,
     format_float,
     run_qfi_vs_gamma,
@@ -250,6 +251,24 @@ def test_verify_fails_with_corrupted_tolerance():
     assert not report.all_passed
     bad = next(c for c in report.checks if c.name == "kraus_completeness")
     assert not bad.passed
+
+
+@pytest.fixture(scope="module")
+def default_report():
+    return run_verify(SweepConfig(mode="verify"))
+
+
+@pytest.mark.parametrize("name", list(DEFAULT_TOLERANCES))
+def test_verify_routes_each_tolerance_to_its_own_check(name, default_report):
+    """An override that fails its check reaches that check and no other;
+    the report lists the checks in the order of ``DEFAULT_TOLERANCES``."""
+    assert default_report.all_passed
+    default = next(c for c in default_report.checks if c.name == name)
+    failing = -1.0 if default.comparison == "le" else 1e9
+    report = run_verify(SweepConfig(mode="verify", tolerances={name: failing}))
+    assert [c.name for c in report.checks] == list(DEFAULT_TOLERANCES)
+    assert next(c for c in report.checks if c.name == name).threshold == failing
+    assert [c.name for c in report.checks if not c.passed] == [name]
 
 
 def test_verify_report_lines_and_json():
