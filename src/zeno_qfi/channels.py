@@ -14,14 +14,14 @@ import numpy as np
 
 from .dense import DenseOperator, check_dense_budget
 from .exceptions import DimensionMismatchError, TracePreservationError
-from .paulis import OperatorSum, PauliTerm, _mutually_commuting, _rotate
+from .paulis import OperatorSum, PauliTerm, _rotate
 from .states import (
     ENVIRONMENT,
     SYSTEM,
     StateVector,
     Subsystem,
+    _system_env_split,
     register_order,
-    system_env_matrix,
 )
 
 COMPLETENESS_TOL = 1e-10
@@ -117,35 +117,37 @@ def evolve(u: DilatedEvolution, state: StateVector, t: float) -> StateVector:
     """Apply U(t) to a state; norm is preserved to rounding."""
     if u.labels != state.labels:
         raise DimensionMismatchError("evolution register does not match the state")
-    # __post_init__ has checked the size and unit coefficient of every
-    # rotation, so the loop runs the kernel on raw arrays.
-    amps = state.amplitudes
+    return StateVector(_evolved_amplitudes(u, state.amplitudes, t), state.labels)
+
+
+def _evolved_amplitudes(u: DilatedEvolution, amps: np.ndarray, t: float) -> np.ndarray:
+    """U(t) applied to raw amplitudes.  ``DilatedEvolution`` has checked the
+    size and unit coefficient of every rotation, so the kernel runs
+    directly."""
     for rate, pauli in u.rotations:
         amps = _rotate(pauli.factors, rate * t, amps)
-    return StateVector(amps, state.labels)
+    return amps
 
 
 def _embedded_basis_indices(labels: tuple[Subsystem, ...]) -> np.ndarray:
     """Full-register index of |s>_S |0...0>_E for each system index s."""
     d_sys = 2 ** sum(1 for l in labels if l is SYSTEM)
-    return register_order(labels).reshape(d_sys, -1)[:, 0]
+    # A copy, so the 2^n register order is not kept alive through a view.
+    return register_order(labels).reshape(d_sys, -1)[:, 0].copy()
 
 
-def _evolved_columns(
-    u: DilatedEvolution, columns: np.ndarray, t: float
-) -> list[StateVector]:
-    """U(t) (f_k x |0...0>_E) for each column f_k of a system-space matrix.
+def _evolved_columns(u: DilatedEvolution, columns: np.ndarray, t: float) -> np.ndarray:
+    """Row k is U(t) (f_k x |0...0>_E) for column f_k of a system-space
+    matrix, each row evolved in place.
 
     The result holds (number of columns) x 2^n amplitudes, which must fit
     in the dense budget.
     """
     check_dense_budget(columns.shape[1] * 2**u.n_qubits)
-    embed = _embedded_basis_indices(u.labels)
-    evolved = []
-    for f in columns.T:
-        amps = np.zeros(2**u.n_qubits, dtype=np.complex128)
-        amps[embed] = f
-        evolved.append(evolve(u, StateVector(amps, u.labels), t))
+    evolved = np.zeros((columns.shape[1], 2**u.n_qubits), dtype=np.complex128)
+    evolved[:, _embedded_basis_indices(u.labels)] = columns.T
+    for row in evolved:
+        row[:] = _evolved_amplitudes(u, row, t)
     return evolved
 
 
@@ -159,9 +161,7 @@ def kraus_from_dilation(u: DilatedEvolution, t: float) -> KrausSet:
     """
     d_sys = 2 ** sum(1 for l in u.labels if l is SYSTEM)
     # stacked[s, s', l] = <s', l| U |s, 0>
-    stacked = np.stack(
-        [system_env_matrix(v) for v in _evolved_columns(u, np.eye(d_sys), t)]
-    )
+    stacked = _system_env_split(_evolved_columns(u, np.eye(d_sys), t), u.labels)
     operators = []
     for l in range(stacked.shape[2]):
         mat = stacked[:, :, l].T
@@ -189,6 +189,6 @@ def generator(u: DilatedEvolution):
     """
     terms = [PauliTerm(rate / 2.0, p.factors) for rate, p in u.rotations]
     gen = OperatorSum(terms, hermitian=True, n_qubits=u.n_qubits)
-    if not _mutually_commuting(gen):
+    if not gen.mutually_commuting:
         raise ValueError("generator needs mutually commuting rotations")
     return gen

@@ -26,6 +26,7 @@ channel QFI for N >= 2.  ``qfi_separable`` is exact on product inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import cos, isfinite, sin
 
 import numpy as np
@@ -37,8 +38,8 @@ from .paulis import (
     OperatorSum,
     PauliTerm,
     _applied_vector,
-    _mutually_commuting,
     _rotate,
+    _StringStack,
     pauli_product,
     paulis_commute,
     to_dense,
@@ -49,7 +50,7 @@ from .states import (
     SYSTEM,
     StateVector,
     Subsystem,
-    system_env_matrix,
+    _system_env_split,
 )
 from .zeno import zeno_time
 
@@ -84,6 +85,11 @@ class EnvOperatorBasis:
                     )
         object.__setattr__(self, "elements", elements)
         object.__setattr__(self, "labels", labels)
+
+    @cached_property
+    def _stack(self) -> _StringStack:
+        """The elements applied together, one row each, in element order."""
+        return _StringStack(self.elements)
 
     @classmethod
     def single_qubit_paulis(cls, labels) -> "EnvOperatorBasis":
@@ -219,7 +225,7 @@ def conjugate_env_operator(h_env: OperatorSum, h_hat, tau: float):
     Pauli algebra at any register size.  Otherwise the product is formed
     densely, which requires the register to fit in the dense budget.
     """
-    if isinstance(h_hat, OperatorSum) and _mutually_commuting(h_hat):
+    if isinstance(h_hat, OperatorSum) and h_hat.mutually_commuting:
         terms = list(h_env.terms)
         for term in h_hat.terms:
             theta = 2.0 * term.coefficient.real * tau
@@ -239,7 +245,7 @@ def _evolved_state(h_hat, psi_full: StateVector, tau) -> np.ndarray:
     if size != psi_full.dim:
         raise DimensionMismatchError("generator does not match the state register")
     amps = psi_full.amplitudes
-    if isinstance(h_hat, OperatorSum) and _mutually_commuting(h_hat):
+    if isinstance(h_hat, OperatorSum) and h_hat.mutually_commuting:
         for term in h_hat.terms:
             amps = _rotate(term.factors, 2.0 * term.coefficient.real * tau, amps)
         return amps
@@ -262,9 +268,7 @@ def _normal_equations(h_hat, basis, psi_full: StateVector, tau):
         raise DimensionMismatchError("basis register does not match the state register")
     phi = _evolved_state(h_hat, psi_full, tau)
     base_vec = _applied_vector(h_hat, phi)
-    vecs = np.empty((len(basis.elements), phi.size), dtype=np.complex128)
-    for k, h in enumerate(basis.elements):
-        vecs[k] = _applied_vector(h, phi)
+    vecs = basis._stack.apply(phi)
     real, phi_real, base_real = (a.view(np.float64) for a in (vecs, phi, base_vec))
     means = real @ phi_real
     base_mean = float(phi_real @ base_real)
@@ -292,14 +296,21 @@ def minimize_qfi_bound(
     The variance is an exact quadratic in c, so the optimum solves the
     normal equations G c = -b built from symmetrized covariances, taken on
     the evolved state (see ``_normal_equations``).  Degenerate Gram matrices
-    are handled by a pseudo-inverse with singular values below 1e-10 of the
-    largest treated as zero; the raw condition number, the rank kept and
-    the residual |G c + b| are reported for diagnostics.  A basis whose
-    labels differ from the state's raises ``DimensionMismatchError``: its
-    "environment" operators would act on system qubits.
+    are handled by a pseudo-inverse: G is symmetric, so its singular values
+    are the magnitudes |lambda| of its eigenvalues, and those below 1e-10 of
+    the largest are treated as zero; the raw condition number, the rank
+    kept and the residual |G c + b| are reported for diagnostics.  A basis
+    whose labels differ from the state's raises ``DimensionMismatchError``:
+    its "environment" operators would act on system qubits.
     """
     phi, base_vec, vecs, gram, cross = _normal_equations(h_hat, basis, psi_full, tau)
-    u, s, vt = np.linalg.svd(gram, hermitian=True)
+    lam, u = np.linalg.eigh(gram)
+    # Eigenpairs by decreasing |lambda|, with u C-ordered: the order and
+    # layout of np.linalg.svd(gram, hermitian=True), which is eigh plus this
+    # sort, so the products below round exactly as its pseudo-inverse does.
+    order = np.argsort(np.abs(lam))[::-1]
+    lam, u = lam[order], np.take(u, order, axis=1)
+    s = np.abs(lam)
     s_max = float(s.max(initial=0.0))
     if s_max == 0.0:
         coeff = np.zeros(len(cross))
@@ -307,8 +318,8 @@ def minimize_qfi_bound(
         rank = 0
     else:
         kept = s > GRAM_CUTOFF * s_max
-        inv = np.where(kept, 1.0 / np.where(s > 0, s, 1.0), 0.0)
-        coeff = -(vt.T @ (inv * (u.T @ cross)))
+        inv = np.where(kept, 1.0 / np.where(kept, lam, 1.0), 0.0)
+        coeff = -(u @ (inv * (u.T @ cross)))
         s_min = float(s.min())
         condition = s_max / s_min if s_min > 0 else float("inf")
         rank = int(kept.sum())
@@ -458,7 +469,8 @@ def qfi_sld_oracle(evolution: DilatedEvolution, initial, tau: float) -> float:
     refuses a rotation list that does not commute.  This path works in the
     Schroedinger picture and is independent of the variational solver,
     whose oracle it is.  The evolved columns hold (number of columns) x 2^n
-    amplitudes, which must fit in the dense budget.
+    amplitudes, which must fit in the dense budget; on a pure input at
+    N = 8 the call peaks at about 5 such columns.
     """
     if not tau > 0:
         raise ValueError("interval must be positive")
@@ -466,15 +478,25 @@ def qfi_sld_oracle(evolution: DilatedEvolution, initial, tau: float) -> float:
     if columns.shape[0] != 2 ** sum(1 for l in evolution.labels if l is SYSTEM):
         raise DimensionMismatchError("initial state does not match the system register")
     gen = generator(evolution)
+    labels = evolution.labels
+    # Each array is dropped once it is used up, which bounds the peak.
     evolved = _evolved_columns(evolution, columns, tau)
-    derivatives = [
-        StateVector(-1j * _applied_vector(gen, e.amplitudes), e.labels) for e in evolved
-    ]
-    v = np.stack([system_env_matrix(e) for e in evolved])
-    dv = np.stack([system_env_matrix(d) for d in derivatives])
+    generated = np.empty_like(evolved)
+    for k in range(len(evolved)):
+        gen._stack.apply(evolved[k], out=generated[k : k + 1])
+    v = _system_env_split(evolved, labels)
+    del evolved
     # conj_weighted[k] = sum_k' W_kk' V_k'^*, so rho_S[a, c] sums
     # V_k[a, b] conj_weighted[k][c, b] over k and the environment index b.
-    conj_weighted = np.tensordot(weights, v.conj(), axes=1)
+    conj_weighted = np.tensordot(weights.conj(), v, axes=1)
+    np.conjugate(conj_weighted, out=conj_weighted)
     rho = np.tensordot(v, conj_weighted, axes=([0, 2], [0, 2]))
-    x = np.tensordot(dv, conj_weighted, axes=([0, 2], [0, 2]))
-    return _sld_information(rho, x + x.conj().T)
+    del v
+    # X = -i sum W_kk' (G V_k) V_k'^dag, as dV_k = -i G V_k.
+    x = np.tensordot(
+        _system_env_split(generated, labels), conj_weighted, axes=([0, 2], [0, 2])
+    )
+    del generated, conj_weighted
+    x *= -1j
+    x += x.conj().T
+    return _sld_information(rho, x)

@@ -125,7 +125,7 @@ def tensor_state(a: StateVector, b: StateVector) -> StateVector:
     for s in (a, b):
         if not s.is_normalized():
             raise ValueError("tensor_state requires normalized inputs")
-    amps = np.kron(a.amplitudes, b.amplitudes)
+    amps = np.multiply.outer(a.amplitudes, b.amplitudes).reshape(-1)
     return StateVector(amps, a.labels + b.labels).normalized()
 
 
@@ -146,16 +146,25 @@ def register_order(labels: tuple[Subsystem, ...]) -> np.ndarray:
     return indices.transpose(_system_env_axes(labels)).reshape(-1)
 
 
+def _system_env_split(amps: np.ndarray, labels: tuple[Subsystem, ...]) -> np.ndarray:
+    """The last axis of ``amps``, 2^n amplitudes of the register, split into
+    (system_dim, environment_dim) axes: a view for the system-block-first
+    layout, a copy otherwise."""
+    n, lead = len(labels), amps.shape[:-1]
+    d_s = 2 ** sum(1 for l in labels if l is SYSTEM)
+    k = len(lead)
+    axes = (*range(k), *(k + a for a in _system_env_axes(labels)))
+    tensor = amps.reshape(lead + (2,) * n).transpose(axes)
+    return tensor.reshape(lead + (d_s, 2**n // d_s))
+
+
 def system_env_matrix(state: StateVector) -> np.ndarray:
     """Amplitudes reshaped to a (system_dim, environment_dim) matrix.
 
     The result is read-only for every label order: a view of the state's
     buffer for the system-block-first layout, a copy otherwise.
     """
-    d_s = 2 ** state.count(SYSTEM)
-    d_e = 2 ** state.count(ENVIRONMENT)
-    tensor = state.amplitudes.reshape((2,) * state.n_qubits)
-    mat = tensor.transpose(_system_env_axes(state.labels)).reshape(d_s, d_e)
+    mat = _system_env_split(state.amplitudes, state.labels)
     mat.setflags(write=False)
     return mat
 

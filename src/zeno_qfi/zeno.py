@@ -21,6 +21,7 @@ P_m = |K^m env0|^2.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from math import exp, log, sqrt
 
@@ -113,18 +114,31 @@ def _survival_by_collapse(
     schedule: ZenoSchedule,
 ) -> float:
     """Survival by state-vector collapse, for any rotation list: m times
-    evolve, project onto psi0, record the captured weight, renormalize."""
+    evolve, project onto psi0, record the captured weight, renormalize.
+
+    A step that captures no weight (below 1e-300) ends the run with 0.0.
+    If every weight is positive but their running product falls below the
+    smallest normal double, ``ValueError`` names the step: there the
+    product loses its digits (it sticks at a subnormal such as 1e-323, or
+    reaches 0), so no value returned would be the survival.
+    """
     _check_register(u, projector, env0)
     block = tensor_state(projector.psi0, env0)
     state = from_system_env_matrix(system_env_matrix(block), u.labels)
     probability = 1.0
-    for _ in range(schedule.m):
+    for step in range(1, schedule.m + 1):
         state = evolve(u, state, schedule.tau)
         projected, weight = _project_system(state, projector.psi0)
+        if weight < 1e-300:
+            return 0.0
         # The captured weight is a probability; above 1 it is rounding.
         probability *= min(weight, 1.0)
-        if probability <= 0.0 or weight < 1e-300:
-            return 0.0
+        if probability < sys.float_info.min:
+            raise ValueError(
+                f"survival underflowed at measurement {step} of {schedule.m} "
+                f"({probability:.3e} < {sys.float_info.min:.3e}), "
+                f"with every captured weight positive"
+            )
         state = from_system_env_matrix(projected / sqrt(weight), state.labels)
     return probability
 

@@ -10,9 +10,12 @@ from zeno_qfi.exceptions import (
     HermiticityError,
 )
 from zeno_qfi.paulis import (
+    GATHER_MAX_QUBITS,
     OperatorSum,
     PauliTerm,
     _apply_string,
+    _applied_vector,
+    _StringStack,
     apply_operator,
     expectation,
     pauli_product,
@@ -124,16 +127,54 @@ def test_apply_matches_dense_on_random_pairs():
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_apply_string_matches_dense_on_every_string(n):
-    """The flip-and-negate kernel equals the Kronecker matrix on every
-    Pauli string of n <= 3 qubits, with a complex scale."""
+    """The flip-and-negate kernel and the gather both equal the Kronecker
+    matrix on every Pauli string of n <= 3 qubits, with complex scales, and
+    the gather, which applies all strings at once, equals the flip kernel
+    to the last bit."""
     rng = np.random.default_rng(13 + n)
     v = random_state(rng, n).amplitudes
-    scale = 0.6 - 0.8j
-    for chars in itertools.product("IXYZ", repeat=n):
-        factors = "".join(chars)
+    strings = ["".join(chars) for chars in itertools.product("IXYZ", repeat=n)]
+    scales = rng.normal(size=len(strings)) + 1j * rng.normal(size=len(strings))
+    ops = [
+        OperatorSum.from_term(scale, factors, hermitian=False)
+        for scale, factors in zip(scales, strings)
+    ]
+    gathered = _StringStack(ops).apply(v)
+    for factors, scale, row in zip(strings, scales, gathered):
         slow = scale * (to_dense(PauliTerm(1.0, factors)).matrix @ v)
         fast = _apply_string(factors, v, scale)
         np.testing.assert_allclose(fast, slow, rtol=0, atol=1e-15, err_msg=factors)
+        np.testing.assert_allclose(row, slow, rtol=0, atol=1e-15, err_msg=factors)
+        assert np.array_equal(row, fast), factors
+
+
+@pytest.mark.parametrize("n", [2, GATHER_MAX_QUBITS, GATHER_MAX_QUBITS + 1])
+def test_applied_vector_equals_sequential_flip_sum(n):
+    """On either side of the gather limit, a multi-term sum applied to a
+    vector equals the flip kernel's term-by-term sum to the last bit."""
+    rng = np.random.default_rng(29 + n)
+    v = random_state(rng, n).amplitudes
+    for _ in range(5):
+        op = random_operator(rng, n, hermitian=False)
+        op = op + random_operator(rng, n, hermitian=False)
+        assert len(op.terms) >= 2
+        expected = _apply_string(op.terms[0].factors, v, op.terms[0].coefficient)
+        for t in op.terms[1:]:
+            expected += _apply_string(t.factors, v, t.coefficient)
+        assert np.array_equal(_applied_vector(op, v), expected)
+
+
+def test_applied_vector_of_empty_sum_is_zero():
+    for n in (2, GATHER_MAX_QUBITS + 1):
+        v = random_state(np.random.default_rng(n), n).amplitudes
+        out = _applied_vector(OperatorSum((), n_qubits=n), v)
+        assert out.shape == v.shape and not out.any()
+
+
+def test_mutually_commuting_flag():
+    zi, zx, xx = (PauliTerm(1.0, f) for f in ("ZI", "ZX", "XX"))
+    assert OperatorSum([zi, zx]).mutually_commuting
+    assert not OperatorSum([zi, xx]).mutually_commuting
 
 
 # ---- expectation and variance ----

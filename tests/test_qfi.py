@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from zeno_qfi import paulis, qfi
 from zeno_qfi.channels import DilatedEvolution, build_dephasing_model, generator
 from zeno_qfi.dense import DenseOperator
 from zeno_qfi.exceptions import (
@@ -360,6 +362,84 @@ def test_evolved_frame_matches_heisenberg_picture(kind):
     assert sol.qfi == pytest.approx(bound(sol.coefficients), rel=0, abs=1e-12)
 
 
+@pytest.mark.parametrize(
+    "kind, n",
+    [
+        ("complete", 2),
+        ("complete", 4),
+        ("single_qubit_paulis", 4),
+        ("single_qubit_paulis", 5),
+        ("symmetric", 3),
+        ("symmetric", 5),
+    ],
+)
+def test_basis_stack_matches_element_by_element(kind, n):
+    """The basis applied as one stack (one gather up to 8 qubits, the flip
+    kernel above) equals each element applied on its own, in element order,
+    to the last bit; the symmetric elements are sums of several strings."""
+    model, _ = model_setup(n, 1.0, 1.0)
+    basis = getattr(EnvOperatorBasis, kind)(model.labels)
+    rng = np.random.default_rng(n)
+    phi = rng.normal(size=4**n) + 1j * rng.normal(size=4**n)
+    expected = np.stack([_applied_vector(h, phi) for h in basis.elements])
+    assert np.array_equal(basis._stack.apply(phi), expected)
+
+
+def test_solver_leaves_the_flip_kernel_to_large_registers(monkeypatch):
+    """Up to 8 qubits the solver applies H_hat and the basis by the gather,
+    so a raising flip kernel goes unnoticed by a complete-basis solve at
+    N = 4, while a per-qubit solve at N = 5 (10 qubits) reaches it.  The
+    rotations that evolve psi are on the flip kernel by design, so they
+    keep the original one."""
+    flip = paulis._apply_string
+
+    def rotate(factors, theta, amplitudes):
+        out = flip(factors, amplitudes, -1j * np.sin(theta / 2.0))
+        out += np.cos(theta / 2.0) * amplitudes
+        return out
+
+    def no_flip(*args, **kwargs):
+        raise AssertionError("flip kernel called")
+
+    monkeypatch.setattr(qfi, "_rotate", rotate)
+    monkeypatch.setattr(paulis, "_apply_string", no_flip)
+    model, h_hat = model_setup(4, 1.0, 1.0)
+    basis = EnvOperatorBasis.complete(model.labels)
+    sol = minimize_qfi_bound(h_hat, basis, ghz_input(4), 0.5)
+    assert sol.qfi == pytest.approx(true_ghz_qfi(4, 1.0, 1.0, 0.5), rel=1e-9)
+    model, h_hat = model_setup(5, 1.0, 1.0)
+    basis = EnvOperatorBasis.single_qubit_paulis(model.labels)
+    with pytest.raises(AssertionError, match="flip kernel called"):
+        minimize_qfi_bound(h_hat, basis, ghz_input(5), 0.5)
+
+
+@pytest.mark.parametrize(
+    "kind, n, input_state",
+    [
+        ("complete", 2, ghz_input),
+        ("complete", 3, product_input),
+        ("single_qubit_paulis", 4, ghz_input),
+        ("symmetric", 3, ghz_input),
+    ],
+)
+def test_solver_equals_hermitian_svd_pseudo_inverse(kind, n, input_state):
+    """The eigh-based solve returns the coefficients of the pseudo-inverse
+    built from np.linalg.svd(gram, hermitian=True) to the last bit, also on
+    rank-deficient Gram matrices, with the same rank and condition."""
+    model, h_hat = model_setup(n, 1.0, 0.9)
+    basis = getattr(EnvOperatorBasis, kind)(model.labels)
+    psi = input_state(n)
+    _, _, _, gram, cross = _normal_equations(h_hat, basis, psi, 0.5)
+    u, s, vt = np.linalg.svd(gram, hermitian=True)
+    kept = s > GRAM_CUTOFF * s[0]
+    inv = np.where(kept, 1.0 / np.where(kept, s, 1.0), 0.0)
+    coeff = -(vt.T @ (inv * (u.T @ cross)))
+    sol = minimize_qfi_bound(h_hat, basis, psi, 0.5)
+    assert np.array_equal(sol.coefficients, coeff)
+    assert sol.rank == int(kept.sum())
+    assert sol.gram_condition == s[0] / s[-1]
+
+
 @pytest.mark.parametrize("dense", [False, True])
 def test_minimize_rejects_state_on_wrong_register(dense):
     model, h_hat = model_setup(2, 1.0, 1.0)
@@ -649,6 +729,22 @@ def test_oracle_rejects_non_commuting_rotations():
     )
     with pytest.raises(ValueError, match="commuting"):
         qfi_sld_oracle(model, plus_state(1), 0.5)
+
+
+def test_oracle_memory_on_a_pure_input_at_eight_pairs():
+    """On a pure GHZ input at N = 8 the oracle's traced peak stays within
+    6 evolved columns of 2^16 amplitudes (it read 11 with wrapped and
+    stacked copies of every column)."""
+    model = build_dephasing_model(8, 1.0, 0.9)
+    ghz = ghz_state(8)
+    column = 16 * 4**8
+    tracemalloc.start()
+    try:
+        qfi_sld_oracle(model, ghz, 0.7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * column
 
 
 def test_oracle_dense_cap():

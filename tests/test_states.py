@@ -42,6 +42,16 @@ def test_tensor_bell_with_environment():
     np.testing.assert_allclose(out.amplitudes, expected, atol=1e-15)
 
 
+def test_tensor_state_equals_kron_to_the_last_bit():
+    rng = np.random.default_rng(3)
+    for n_a, n_b in ((1, 1), (2, 3), (4, 4)):
+        a = StateVector(rng.normal(size=2**n_a) + 1j, (SYSTEM,) * n_a).normalized()
+        b = StateVector(rng.normal(size=2**n_b) - 1j, (ENVIRONMENT,) * n_b).normalized()
+        kron = StateVector(np.kron(a.amplitudes, b.amplitudes), a.labels + b.labels)
+        got = tensor_state(a, b).amplitudes
+        assert np.array_equal(got, kron.normalized().amplitudes)
+
+
 def test_tensor_requires_normalized_inputs():
     crooked = StateVector([1.0, 1.0], (SYSTEM,))
     with pytest.raises(ValueError, match="normalized"):

@@ -252,6 +252,23 @@ def test_closed_form_dispatch_never_runs_the_loop(monkeypatch):
         )
 
 
+@pytest.mark.parametrize("m, expected", [(500, 1.9408186273647447e-57), (3000, None)])
+def test_collapse_loop_refuses_an_underflowed_product(m, expected):
+    """Rotations ZI then XX fall outside the closed form.  At tau = 1 each
+    measurement keeps a weight near 0.77, so at m = 500 the loop returns
+    its usual value, but by m = 3000 the product leaves the normal doubles
+    at measurement 2713 (where it used to stick at 1e-323) and raises."""
+    rotations = ((1.0, PauliTerm(1.0, "ZI")), (1.0, PauliTerm(1.0, "XX")))
+    mixed = DilatedEvolution((SYSTEM, ENVIRONMENT), rotations)
+    projector = ZenoProjector(plus_state(1))
+    args = (mixed, projector, zero_environment(1), ZenoSchedule(m, 1.0))
+    if expected is None:
+        with pytest.raises(ValueError, match="underflowed at measurement 2713 of 3000"):
+            survival_probability_exact(*args)
+    else:
+        assert survival_probability_exact(*args) == pytest.approx(expected, rel=1e-12)
+
+
 def test_zeno_convergence_in_measurement_number():
     """At fixed total time the survival probability climbs toward one as
     the measurements get denser."""
