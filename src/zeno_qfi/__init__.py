@@ -18,7 +18,6 @@ from .channels import (
 from .dense import (
     DENSE_QUBIT_CAP,
     DenseOperator,
-    dense_apply,
     hermitian_expm,
     partial_trace,
 )
@@ -34,7 +33,6 @@ from .paulis import (
     OperatorSum,
     PauliTerm,
     apply_operator,
-    expectation,
     pauli_product,
     pauli_rotation_apply,
     paulis_commute,

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DenseCapError, DimensionMismatchError, HermiticityError
-from .states import Subsystem, StateVector
+from .states import Subsystem
 
 DENSE_QUBIT_CAP = 12
 
@@ -108,11 +108,3 @@ def partial_trace(
     tensor = np.transpose(tensor, perm).reshape(d_keep, d_drop, d_keep, d_drop)
     return DenseOperator(np.einsum("abcb->ac", tensor))
 
-
-def dense_apply(op: DenseOperator, state: StateVector) -> StateVector:
-    """Matrix-vector product, returned as an (unnormalized) state."""
-    if op.dim != state.dim:
-        raise DimensionMismatchError(
-            f"operator dimension {op.dim} does not match state dimension {state.dim}"
-        )
-    return StateVector(op.matrix @ state.amplitudes, state.labels)

@@ -344,23 +344,6 @@ def apply_operator(op, state: StateVector) -> StateVector:
     return StateVector(_applied_vector(op, state.amplitudes), state.labels)
 
 
-def expectation(op, state: StateVector) -> float:
-    """Real expectation value <psi|O|psi> of a Hermitian operator.
-
-    Accepts an OperatorSum (with its hermitian flag set) or a Hermitian
-    DenseOperator.  An imaginary residue above 1e-10 raises, since it
-    signals a non-Hermitian input rather than rounding noise.
-    """
-    if isinstance(op, OperatorSum) and not op.hermitian:
-        raise HermiticityError("expectation requires a Hermitian operator sum")
-    if isinstance(op, DenseOperator) and not op.is_hermitian():
-        raise HermiticityError("expectation requires a Hermitian matrix")
-    value = complex(np.vdot(state.amplitudes, _applied_vector(op, state.amplitudes)))
-    if abs(value.imag) > IMAG_RESIDUE_TOL:
-        raise HermiticityError(f"imaginary residue {value.imag:.3e} exceeds tolerance")
-    return float(value.real)
-
-
 def variance(op, state: StateVector) -> float:
     """Variance <O^2> - <O>^2 on a state, computed as |O psi|^2 - <O>^2.
 

