@@ -176,15 +176,20 @@ class VariationalSolution:
 
 @dataclass(frozen=True)
 class AnalyticParams:
-    """Parameters of the N-pair dephasing-coupling model at one interval."""
+    """Parameters of the N-pair dephasing-coupling model at one interval.
 
-    n: int
+    ``n`` is one qubit number or a float64 array of them: the closed forms
+    below run one code body on either, bit for bit alike up to N = 2**53,
+    and their pole checks look at gamma * tau only.
+    """
+
+    n: int | np.ndarray
     omega0: float
     gamma: float
     tau: float
 
     def __post_init__(self):
-        if self.n < 1:
+        if np.less(self.n, 1).any():
             raise ValueError("need at least one qubit")
         if not self.tau > 0:
             raise ValueError("interval must be positive")
@@ -409,10 +414,14 @@ def qfi_ratio_asymptote(p: AnalyticParams) -> float:
 def zeno_time_bound(
     p: AnalyticParams, m: int, entangled: bool = True, asymptotic: bool = False
 ) -> float:
-    """Upper bound 2 / sqrt(m F_Q) on the Zeno time for one state family.
+    """Zeno time 2 / sqrt(m F) for one state family, at one N or an array.
 
-    The entangled family uses the exact finite-N formula unless
-    ``asymptotic`` selects the flagged large-N cotangent variant.
+    The entangled family uses the finite-N ansatz formula ``qfi_ghz``
+    unless ``asymptotic`` selects the flagged large-N cotangent variant;
+    the separable family uses the exact ``qfi_separable``.  With
+    P ~ 1 - m tau^2 F / 4, a larger F gives a shorter time, so for N >= 2,
+    where the entangled F is an upper bound on the channel QFI, the
+    entangled time is a lower bound on the one the exact channel QFI gives.
     """
     if entangled:
         fq = qfi_ghz_large_n(p) if asymptotic else qfi_ghz(p)

@@ -77,6 +77,11 @@ _DEFAULT_N = {
     "verify": (),
 }
 
+# The largest qubit count a float64 holds exactly; the sweeps evaluate the
+# closed forms on a float64 array of N.
+N_MAX = 2**53
+
+
 def _is_finite_number(value) -> bool:
     """A finite real number; JSON ``true``/``false`` are not numbers here."""
     real = isinstance(value, numbers.Real) and not isinstance(value, bool)
@@ -132,6 +137,8 @@ class SweepConfig:
             ns = tuple(self.n_list) if isinstance(self.n_list, Iterable) else ()
             if not (ns and all(_is_whole(n) for n in ns)):
                 raise ConfigError("N_list must be a nonempty list of positive integers")
+            if max(ns) > N_MAX:
+                raise ConfigError(f"N_list entries must be at most 2**53 = {N_MAX}")
             object.__setattr__(self, "n_list", tuple(dict.fromkeys(int(n) for n in ns)))
         if not isinstance(self.tolerances, dict):
             raise ConfigError("tolerances must be an object mapping names to numbers")
@@ -186,74 +193,89 @@ class SweepConfig:
         return cls.from_dict(data)
 
 
+_FLOAT_FORMAT = "%.11e"
+
+
 def format_float(value: float) -> str:
     """12 significant digits, scientific notation: the one true format."""
-    return f"{value:.11e}"
-
-
-def _format_cell(value) -> str:
-    if isinstance(value, bool):
-        return str(value)
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return format_float(float(value))
-    return str(value)
+    return _FLOAT_FORMAT % value
 
 
 @dataclass
 class Table:
-    """Column-labeled rows plus per-row notes (skips, cross-checks)."""
+    """Column-labeled rows of Python ints and floats, plus per-row notes
+    (skips, cross-checks)."""
 
     columns: tuple[str, ...]
     rows: list[tuple]
     notes: list[str] = field(default_factory=list)
 
     def to_csv_text(self) -> str:
+        """Header, then each row through one template built from the first
+        row's types: ``%d`` for integers, ``format_float``'s format for the
+        rest."""
         lines = [",".join(self.columns)]
-        lines.extend(",".join(_format_cell(v) for v in row) for row in self.rows)
+        if self.rows:
+            template = ",".join(
+                "%d" if isinstance(v, numbers.Integral) else _FLOAT_FORMAT
+                for v in self.rows[0]
+            )
+            lines.extend(template % row for row in self.rows)
         return "\n".join(lines) + "\n"
 
     def to_json_text(self, mode: str) -> str:
         payload = {
             "mode": mode,
             "columns": list(self.columns),
-            "rows": [[_json_cell(v) for v in row] for row in self.rows],
+            "rows": [list(row) for row in self.rows],
             "notes": list(self.notes),
         }
         return json.dumps(payload, indent=2) + "\n"
 
 
-def _json_cell(value):
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    return value
-
-
 def _grid_table(columns, n_values, cfg: SweepConfig, row) -> tuple[Table, dict]:
-    """One row ``row(p)`` per (N, gamma) grid point, in grid order.
+    """Rows (N, *row(p)) over the (N, gamma) grid, N-major.
 
-    A point where a formula sits on a pole or yields a non-finite value is
-    skipped with a note.  Also returns the gamma values kept for each N.
+    ``row(p)`` gives the columns after N, each a scalar or an array over N:
+    it runs once per gamma, with ``p.n`` a float64 array of every N.  A
+    point where a formula sits on a pole (a check on gamma * tau, so it
+    drops that gamma at every N) or yields a non-finite value is skipped
+    with a note, in grid order.  Also returns the gamma values kept for
+    each N.
     """
-    table = Table(columns=columns, rows=[])
-    kept: dict[int, list[float]] = {}
-    for n in n_values:
-        kept[n] = []
+    ns = np.array(n_values, dtype=float)
+    per_gamma = []  # (gamma, pole message or None, rows, finite per N)
+    # Overflow to inf is reported below as a non-finite value.
+    with np.errstate(over="ignore", invalid="ignore"):
         for g in cfg.gamma_over_omega0:
-            skipped = f"row skipped (N={n}, gamma_over_omega0={g:g})"
             try:
-                values = row(AnalyticParams(n=n, omega0=1.0, gamma=g, tau=cfg.omega0_tau))
+                p = AnalyticParams(n=ns, omega0=1.0, gamma=g, tau=cfg.omega0_tau)
+                values = row(p)
             except PoleProximityError as exc:
-                table.notes.append(f"{skipped}: {exc}")
+                per_gamma.append((g, str(exc), None, None))
                 continue
-            if not all(math.isfinite(float(v)) for v in values):
-                table.notes.append(f"{skipped}: non-finite value")
-                continue
-            table.rows.append(values)
-            kept[n].append(g)
+            cells, finite = [list(n_values)], np.isfinite(ns)
+            for v in values:
+                if isinstance(v, np.ndarray):
+                    cells.append(v.tolist())
+                    finite &= np.isfinite(v)
+                else:
+                    cells.append([v] * len(ns))
+                    finite &= math.isfinite(v)
+            per_gamma.append((g, None, list(zip(*cells)), finite.tolist()))
+
+    table = Table(columns=columns, rows=[])
+    kept: dict[int, list[float]] = {n: [] for n in n_values}
+    for i, n in enumerate(n_values):
+        for g, pole, rows, finite in per_gamma:
+            if pole is None and finite[i]:
+                table.rows.append(rows[i])
+                kept[n].append(g)
+            else:
+                table.notes.append(
+                    f"row skipped (N={n}, gamma_over_omega0={g:g}): "
+                    f"{pole or 'non-finite value'}"
+                )
     return table, kept
 
 
@@ -261,7 +283,7 @@ def _ratio_row(p: AnalyticParams) -> tuple:
     f_en = qfi_ghz(p)
     f_se = qfi_separable(p)
     asym = qfi_ratio_asymptote(p)
-    return (p.n, p.gamma, f_en, f_se, f_en / f_se, asym)
+    return (p.gamma, f_en, f_se, f_en / f_se, asym)
 
 
 def run_ratio_vs_n(cfg: SweepConfig) -> Table:
@@ -286,7 +308,8 @@ def run_ratio_vs_n(cfg: SweepConfig) -> Table:
 
 def _relative_gaps(grid, taus, inputs):
     """(minimum - reference) / |reference| of the per-qubit-basis minimum
-    at each (N, omega0, gamma) grid point, interval and input.
+    at each (N, omega0, gamma) grid point, interval and input, each paired
+    with its point (N, omega0, gamma, tau).
 
     ``inputs(model, p)`` lists (system state, reference value) pairs; each
     state is paired with |0...0>_E.  Generator and basis are built once per
@@ -301,17 +324,23 @@ def _relative_gaps(grid, taus, inputs):
             for system, reference in inputs(model, p):
                 full = tensor_state(system, zero_environment(n))
                 solved = minimize_qfi_bound(h_hat, basis, full, tau).qfi
-                yield (solved - reference) / abs(reference)
+                yield (solved - reference) / abs(reference), (n, omega0, gamma, tau)
 
 
-def _solver_vs_closed_form(grid, taus) -> float:
+def _largest_gap(gaps) -> tuple[float, tuple]:
+    """The largest |gap| of ``_relative_gaps`` and the point where it sits."""
+    gap, at = max(gaps, key=lambda item: abs(item[0]))
+    return abs(gap), at
+
+
+def _solver_vs_closed_form(grid, taus) -> tuple[float, tuple]:
     """Max relative error of the solver against the closed forms on both
-    state families."""
+    state families, and the point where it sits."""
 
     def inputs(model, p):
         return ((ghz_state(p.n), qfi_ghz(p)), (plus_state(p.n), qfi_separable(p)))
 
-    return max(abs(gap) for gap in _relative_gaps(grid, taus, inputs))
+    return _largest_gap(_relative_gaps(grid, taus, inputs))
 
 
 def run_qfi_vs_gamma(cfg: SweepConfig) -> Table:
@@ -329,7 +358,7 @@ def run_qfi_vs_gamma(cfg: SweepConfig) -> Table:
         ),
         cfg.n_list,
         cfg,
-        lambda p: (p.n, p.gamma, qfi_ghz(p), qfi_separable(p)),
+        lambda p: (p.gamma, qfi_ghz(p), qfi_separable(p)),
     )
 
     rng = np.random.default_rng(cfg.seed)
@@ -337,7 +366,7 @@ def run_qfi_vs_gamma(cfg: SweepConfig) -> Table:
         if n > 3 or not usable_gammas[n]:
             continue
         g = float(rng.choice(usable_gammas[n]))
-        err = _solver_vs_closed_form([(n, 1.0, g)], [tau])
+        err, _ = _solver_vs_closed_form([(n, 1.0, g)], [tau])
         if err > DEFAULT_TOLERANCES["solver_vs_closed_form"]:
             raise RuntimeError(
                 f"solver cross-check failed at N={n}, gamma={g:g}: "
@@ -351,8 +380,14 @@ def run_qfi_vs_gamma(cfg: SweepConfig) -> Table:
 
 
 def run_zeno_time(cfg: SweepConfig) -> Table:
-    """Zeno-time upper bounds (units of 1/omega0) for both state families
-    over the (N, gamma) grid at the configured measurement count."""
+    """Zeno times 2 / sqrt(m F) (units of 1/omega0) for both state families
+    over the (N, gamma) grid at the configured measurement count, from the
+    closed forms evaluated on an array of every N per gamma.
+
+    With P ~ 1 - m tau^2 F / 4 a larger F gives a shorter time, so the
+    entangled columns, whose F is an upper bound on the channel QFI for
+    N >= 2, are lower bounds on the times the exact channel QFI gives.
+    """
     cfg = cfg.resolved()
     table, _ = _grid_table(
         (
@@ -366,7 +401,6 @@ def run_zeno_time(cfg: SweepConfig) -> Table:
         cfg.n_list,
         cfg,
         lambda p: (
-            p.n,
             cfg.m,
             p.gamma,
             zeno_time_bound(p, cfg.m, entangled=True),
@@ -375,6 +409,9 @@ def run_zeno_time(cfg: SweepConfig) -> Table:
         ),
     )
     return table
+
+
+_POINT = ("N", "omega0", "gamma", "tau")
 
 
 @dataclass(frozen=True)
@@ -388,6 +425,7 @@ class VerifyCheck:
     comparison: str  # "le" or "ge"
     detail: str = ""
     seconds: float = 0.0
+    worst_at: tuple | None = None  # (N, omega0, gamma, tau) of the measured value
 
     @property
     def passed(self) -> bool:
@@ -402,8 +440,11 @@ class VerifyCheck:
             f"{status} {self.name}: measured {self.measured:.6e} "
             f"(required {op} {self.threshold:.6e})"
         )
-        if self.detail:
-            text += f" [{self.detail}]"
+        notes = [self.detail] if self.detail else []
+        if self.worst_at is not None:
+            notes.append(f"worst at ({', '.join(_POINT)})={self.worst_at}")
+        if notes:
+            text += f" [{'; '.join(notes)}]"
         return text
 
 
@@ -434,6 +475,7 @@ class VerifyReport:
                     "passed": c.passed,
                     "detail": c.detail,
                     "seconds": c.seconds,
+                    "worst_at": c.worst_at and dict(zip(_POINT, c.worst_at)),
                 }
                 for c in self.checks
             ],
@@ -476,28 +518,30 @@ def _channel_vs_partial_trace(seed: int) -> float:
 _RATES = (0.5, 1.0, 1.2)
 
 
-def _solver_vs_sld(seed: int) -> float:
+def _solver_vs_sld(seed: int) -> tuple[float, tuple]:
     """Solver against the SLD oracle where the per-qubit basis is
-    exhaustive: any state at N=1, product states at any N."""
+    exhaustive (any state at N=1, product states at any N): the largest
+    relative gap and the point where it sits."""
 
     def inputs(model, p):
         systems = [plus_state(p.n)] + ([ghz_state(p.n)] if p.n == 1 else [])
         return [(s, qfi_sld_oracle(model, s, p.tau)) for s in systems]
 
     grid = itertools.product((1, 2, 3), _RATES, _RATES)
-    return max(abs(gap) for gap in _relative_gaps(grid, (0.1, 0.5), inputs))
+    return _largest_gap(_relative_gaps(grid, (0.1, 0.5), inputs))
 
 
-def _ansatz_bounds_true_qfi(seed: int) -> float:
+def _ansatz_bounds_true_qfi(seed: int) -> tuple[float, tuple]:
     """On entangled inputs the per-qubit ansatz minimum may exceed the
-    channel QFI but can never undercut it: the most negative gap."""
+    channel QFI but can never undercut it: the most negative gap, and the
+    point where it sits."""
 
     def inputs(model, p):
         ghz = ghz_state(p.n)
         return [(ghz, qfi_sld_oracle(model, ghz, p.tau))]
 
     grid = itertools.product((2, 3), (1.0,), (0.5, 1.0))
-    return min(_relative_gaps(grid, (0.1, 0.5), inputs))
+    return min(_relative_gaps(grid, (0.1, 0.5), inputs), key=lambda item: item[0])
 
 
 def _random_pure(rng: np.random.Generator, n: int, label: Subsystem) -> StateVector:
@@ -564,7 +608,8 @@ def _quadratic_order(seed: int) -> float:
 
 class _Check(NamedTuple):
     """One row of the verification suite; ``measure(seed)`` returns the
-    value compared against the threshold."""
+    value compared against the threshold, or that value and the
+    (N, omega0, gamma, tau) where it sits."""
 
     name: str
     threshold: float
@@ -627,10 +672,13 @@ def run_verify(cfg: SweepConfig) -> VerifyReport:
         start = time.perf_counter()
         measured = check.measure(cfg.seed)
         seconds = time.perf_counter() - start
+        worst_at = None
+        if isinstance(measured, tuple):
+            measured, worst_at = measured
         checks.append(
             VerifyCheck(
                 check.name, measured, tol[check.name], check.comparison,
-                check.detail, seconds,
+                check.detail, seconds, worst_at,
             )
         )
     return VerifyReport(checks)

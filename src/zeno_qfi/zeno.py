@@ -319,10 +319,15 @@ def zeno_time(m: int, qfi_bound: float) -> float:
     """Interval scale 2 / sqrt(m * bound) below which measurement wins.
 
     ``qfi_bound`` is four times the generator variance (or any tighter
-    channel-information bound).
+    channel-information bound), a number or an array of them.  The
+    short-interval survival P ~ 1 - m tau^2 F / 4 (``quadratic_order`` in
+    ``verify``) reaches 0 at tau = 2 / sqrt(m F), which falls as F grows:
+    so when F is itself an upper bound on the channel QFI F_Q, the time
+    returned is a lower bound on 2 / sqrt(m F_Q), the time the exact
+    channel QFI gives.
     """
     if m < 1:
         raise ValueError("need at least one measurement")
-    if not qfi_bound > 0:
+    if not np.all(qfi_bound > 0):
         raise ValueError("information bound must be positive")
-    return 2.0 / sqrt(m * qfi_bound)
+    return 2.0 / np.sqrt(m * qfi_bound)

@@ -514,6 +514,12 @@ def test_params_reject_non_finite_phase():
         AnalyticParams(n=1, omega0=1.0, gamma=1e10, tau=1e300)
 
 
+def test_params_check_every_n_of_an_array():
+    for n in (0, np.array([3.0, 0.0])):
+        with pytest.raises(ValueError, match="qubit"):
+            AnalyticParams(n=n, omega0=1.0, gamma=1.0, tau=0.5)
+
+
 def test_one_qubit_formula_limits():
     assert qfi_one_qubit(
         AnalyticParams(n=1, omega0=1.3, gamma=0.0, tau=0.7)
@@ -555,10 +561,11 @@ def test_ghz_large_n_behavior():
 def test_ghz_formula_pole_flagged():
     gamma = 1.0
     tau = math.pi / 2 / gamma
-    with pytest.raises(PoleProximityError):
-        qfi_ghz(AnalyticParams(n=3, omega0=1.0, gamma=gamma, tau=tau))
-    with pytest.raises(PoleProximityError):
-        qfi_ratio_asymptote(AnalyticParams(n=3, omega0=1.0, gamma=1e-12, tau=0.5))
+    for n in (3, np.array([1.0, 3.0])):
+        with pytest.raises(PoleProximityError):
+            qfi_ghz(AnalyticParams(n=n, omega0=1.0, gamma=gamma, tau=tau))
+        with pytest.raises(PoleProximityError):
+            qfi_ratio_asymptote(AnalyticParams(n=n, omega0=1.0, gamma=1e-12, tau=0.5))
 
 
 def test_separable_formula_additivity():

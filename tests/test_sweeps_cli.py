@@ -1,18 +1,33 @@
 import json
+import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import zeno_qfi
+from zeno_qfi import sweeps
+from zeno_qfi.channels import build_dephasing_model, generator
 from zeno_qfi.cli import run
-from zeno_qfi.exceptions import ConfigError
-from zeno_qfi.qfi import AnalyticParams, qfi_ghz, qfi_separable
+from zeno_qfi.exceptions import ConfigError, PoleProximityError
+from zeno_qfi.qfi import (
+    AnalyticParams,
+    EnvOperatorBasis,
+    minimize_qfi_bound,
+    qfi_ghz,
+    qfi_separable,
+    qfi_sld_oracle,
+)
+from zeno_qfi.states import ghz_state, plus_state, tensor_state, zero_environment
 from zeno_qfi.sweeps import (
     DEFAULT_TOLERANCES,
+    RUNNERS,
     SweepConfig,
+    Table,
     format_float,
     run_qfi_vs_gamma,
     run_ratio_vs_n,
@@ -91,6 +106,15 @@ def test_config_rejects_bad_tolerances():
             SweepConfig(mode="verify", tolerances=tolerances)
     cfg = SweepConfig(mode="verify", tolerances={"solver_vs_sld": 1e-6, "zeno_limit": 1})
     assert cfg.tolerances == {"solver_vs_sld": 1e-6, "zeno_limit": 1}
+
+
+def test_config_caps_n_at_two_to_the_53():
+    """2**53 is the largest count a float64 holds exactly, and the sweeps
+    carry N as float64."""
+    assert SweepConfig(mode="zeno-time", n_list=(2**53,)).n_list == (2**53,)
+    for n in (2**53 + 1, 1e200):
+        with pytest.raises(ConfigError, match="at most 2"):
+            SweepConfig(mode="zeno-time", n_list=(1, n))
 
 
 def test_float_format_is_twelve_significant_digits():
@@ -417,6 +441,23 @@ def test_cli_rejects_json_booleans_and_fractions(tmp_path, capsys, field, value)
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("n", [2**53 + 1, 1e200])
+def test_cli_rejects_n_above_two_to_the_53(tmp_path, capsys, n):
+    """A huge N is a config error (exit 2), through --n and through a
+    config file; 1e200 used to end in an OverflowError traceback from
+    ``qfi_ghz``."""
+    config = {"mode": "zeno-time", "N_list": [n], "gamma_over_omega0": [1.0]}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    assert run(["--config", str(path)]) == 2
+    assert run(["zeno-time", "--gamma", "1", "--n", str(int(n))]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        f"config error: N_list entries must be at most 2**53 = {2**53}"
+    ] * 2
+    assert captured.out == ""
+
+
 def test_cli_accepts_whole_floats_for_m_and_n(tmp_path, capsys):
     """m and the entries of N_list pass the same check: 2.0 runs as 2."""
     outputs = []
@@ -458,3 +499,133 @@ def test_cli_unwritable_output_is_a_config_error(tmp_path, capsys, mode):
         assert lines[0].startswith(f"config error: cannot write {out}: ")
         assert captured.out == ""
         assert list(tmp_path.iterdir()) == []
+
+
+# ---- the N-axis grid against the per-row loop ----
+
+
+def _format_cell(value) -> str:
+    """The per-cell CSV formatting the one-template rows must reproduce."""
+    if isinstance(value, bool):
+        return str(value)
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        return format_float(float(value))
+    return str(value)
+
+
+def _per_row_grid_table(columns, n_values, cfg, row):
+    """The reference grid loop: one AnalyticParams with an int N, and so
+    scalar closed-form calls, per (N, gamma) point, in grid order."""
+    table = Table(columns=columns, rows=[])
+    kept = {}
+    for n in n_values:
+        kept[n] = []
+        for g in cfg.gamma_over_omega0:
+            skipped = f"row skipped (N={n}, gamma_over_omega0={g:g})"
+            try:
+                p = AnalyticParams(n=n, omega0=1.0, gamma=g, tau=cfg.omega0_tau)
+                values = (n, *row(p))
+            except PoleProximityError as exc:
+                table.notes.append(f"{skipped}: {exc}")
+                continue
+            if not all(math.isfinite(float(v)) for v in values):
+                table.notes.append(f"{skipped}: non-finite value")
+                continue
+            table.rows.append(values)
+            kept[n].append(g)
+    return table, kept
+
+
+def _bits(rows):
+    return [tuple(v if isinstance(v, int) else float(v).hex() for v in row) for row in rows]
+
+
+@pytest.mark.parametrize("mode", list(RUNNERS))
+def test_n_axis_grid_matches_per_row_loop(mode, monkeypatch):
+    """Rows bit-equal to the per-row loop's, the same notes in the same
+    order and the same CSV text, on a grid with both poles (gamma = 0 for
+    the cotangent, gamma tau = pi/2 for the tangent), an overflow to inf
+    (gamma = 1e154) and N up to 2**53.  At N = 3037000500 an int64 N**2
+    wraps negative."""
+    cfg = SweepConfig(
+        mode=mode,
+        n_list=(1, 2, 500, 3037000500, 2**53),
+        gamma_over_omega0=(0.0, 1.0, math.pi, 0.3, 1e154),
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        table = RUNNERS[mode](cfg)
+    monkeypatch.setattr(sweeps, "_grid_table", _per_row_grid_table)
+    reference = RUNNERS[mode](cfg)
+
+    assert table.rows and any("pole" in note for note in table.notes)
+    assert all(type(v) in (int, float) for row in table.rows for v in row)
+    assert _bits(table.rows) == _bits(reference.rows)
+    assert table.notes == reference.notes
+    lines = [",".join(reference.columns)]
+    lines += [",".join(_format_cell(v) for v in row) for row in reference.rows]
+    assert table.to_csv_text() == "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("mode", list(RUNNERS))
+def test_json_rows_are_the_csv_rows(mode, capsys):
+    """At each sweep's default grid, the JSON rows printed through the CSV
+    formats give the CSV lines, with ints in the int columns."""
+    assert run([mode]) == 0
+    csv_lines = capsys.readouterr().out.splitlines()
+    assert run([mode, "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert ",".join(payload["columns"]) == csv_lines[0]
+    assert len(payload["rows"]) == len(csv_lines) - 1 > 0
+    for row, line in zip(payload["rows"], csv_lines[1:]):
+        assert ",".join(_format_cell(v) for v in row) == line
+
+
+def _solver_gap(point, system, reference) -> float:
+    """Relative gap of the per-qubit-basis minimum at one point."""
+    n, omega0, gamma, tau = point
+    model = build_dephasing_model(n, omega0, gamma)
+    basis = EnvOperatorBasis.single_qubit_paulis(model.labels)
+    full = tensor_state(system, zero_environment(n))
+    solved = minimize_qfi_bound(generator(model), basis, full, tau).qfi
+    return (solved - reference) / abs(reference)
+
+
+def test_verify_reports_the_worst_point(default_report):
+    """The three solver checks name the (N, omega0, gamma, tau) of their
+    measured value, in the line and in the JSON; re-solving there gives
+    the measured value back."""
+    by_name = {c.name: c for c in default_report.checks}
+    payload = {c["name"]: c for c in json.loads(default_report.to_json_text())["checks"]}
+    located = ("solver_vs_sld", "solver_vs_closed_form", "ansatz_bounds_true_qfi")
+    for check in default_report.checks:
+        if check.name not in located:
+            assert check.worst_at is None and payload[check.name]["worst_at"] is None
+            continue
+        n, omega0, gamma, tau = at = check.worst_at
+        assert f"worst at (N, omega0, gamma, tau)={at}" in check.line()
+        assert payload[check.name]["worst_at"] == dict(
+            N=n, omega0=omega0, gamma=gamma, tau=tau
+        )
+
+    at = by_name["ansatz_bounds_true_qfi"].worst_at
+    model = build_dephasing_model(*at[:3])
+    ghz = ghz_state(at[0])
+    gap = _solver_gap(at, ghz, qfi_sld_oracle(model, ghz, at[3]))
+    assert gap == by_name["ansatz_bounds_true_qfi"].measured
+
+    at = by_name["solver_vs_sld"].worst_at
+    model = build_dephasing_model(*at[:3])
+    systems = [plus_state(at[0])] + ([ghz_state(1)] if at[0] == 1 else [])
+    gaps = [abs(_solver_gap(at, s, qfi_sld_oracle(model, s, at[3]))) for s in systems]
+    assert max(gaps) == by_name["solver_vs_sld"].measured
+
+    at = by_name["solver_vs_closed_form"].worst_at
+    p = AnalyticParams(at[0], at[1], at[2], at[3])
+    gaps = [
+        abs(_solver_gap(at, ghz_state(at[0]), qfi_ghz(p))),
+        abs(_solver_gap(at, plus_state(at[0]), qfi_separable(p))),
+    ]
+    assert max(gaps) == by_name["solver_vs_closed_form"].measured
