@@ -53,7 +53,6 @@ from .qfi import (
     qfi_separable,
     qfi_sld_oracle,
     qfi_upper_bound,
-    zeno_time_bound,
 )
 from .states import (
     ENVIRONMENT,

@@ -1,15 +1,16 @@
 """Command-line entry point: zeno-qfi <mode> [flags].
 
-Configuration comes from an optional JSON file plus flag overrides, flags
-winning.  Exit status: 0 on success, 1 on verification failure (or a failed
-in-sweep cross-check), 2 on configuration errors, which include an output
-file that cannot be written; that is checked before the run starts.
+The optional JSON config file and the flags merge into one mapping, flags
+winning, which is validated once as a ``SweepConfig``; the mode may come
+from either.  Exit status: 0 on success, 1 on verification failure (or a
+failed in-sweep cross-check), 2 on configuration errors, which include an
+output file that cannot be written; that is checked before the run starts.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
+import json
 import os
 import sys
 
@@ -18,6 +19,7 @@ from .sweeps import MODES, RUNNERS, SweepConfig, run_verify
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """Flags whose ``dest`` is the config file key they override."""
     parser = argparse.ArgumentParser(
         prog="zeno-qfi",
         description=(
@@ -26,55 +28,45 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "mode_positional",
-        nargs="?",
-        metavar="mode",
-        choices=MODES,
-        help=f"one of {', '.join(MODES)}",
+        "mode", nargs="?", choices=MODES, metavar="mode", help=f"one of {', '.join(MODES)}"
     )
     parser.add_argument("--config", help="JSON config file (flags override it)")
-    parser.add_argument("--mode", choices=MODES, help="mode, if not given positionally")
-    parser.add_argument("--omega0-tau", type=float, help="dimensionless omega0*tau")
     parser.add_argument(
-        "--gamma", type=float, nargs="+", help="gamma/omega0 values for the sweep"
+        "--omega0-tau", dest="omega0_tau", type=float, help="dimensionless omega0*tau"
     )
-    parser.add_argument("--n", type=int, nargs="+", help="qubit numbers N")
+    parser.add_argument(
+        "--gamma", dest="gamma_over_omega0", metavar="GAMMA", type=float, nargs="+",
+        help="gamma/omega0 values for the sweep",
+    )
+    parser.add_argument(
+        "--n", dest="N_list", metavar="N", type=int, nargs="+", help="qubit numbers N"
+    )
     parser.add_argument("--m", type=int, help="number of measurements")
-    parser.add_argument("--out", help="output file (default: stdout)")
+    parser.add_argument(
+        "--out", dest="output_path", metavar="OUT", help="output file (default: stdout)"
+    )
     parser.add_argument("--format", choices=("csv", "json"), help="output format")
     parser.add_argument("--seed", type=int, help="seed for in-sweep cross-checks")
     return parser
 
 
+def _read_config_file(path: str) -> dict:
+    try:
+        with open(path, encoding="utf-8") as handle:
+            data = json.load(handle)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ConfigError("config file must contain a JSON object")
+    return data
+
+
 def _config_from_args(args: argparse.Namespace) -> SweepConfig:
-    if args.config:
-        cfg = SweepConfig.from_json_file(args.config)
-    else:
-        mode = args.mode_positional or args.mode
-        if mode is None:
-            raise ConfigError("a mode is required (positional, --mode, or config file)")
-        cfg = SweepConfig(mode=mode)
-    overrides = {}
-    mode = args.mode_positional or args.mode
-    if mode is not None:
-        overrides["mode"] = mode
-    if args.omega0_tau is not None:
-        overrides["omega0_tau"] = args.omega0_tau
-    if args.gamma is not None:
-        overrides["gamma_over_omega0"] = tuple(args.gamma)
-    if args.n is not None:
-        overrides["n_list"] = tuple(args.n)
-    if args.m is not None:
-        overrides["m"] = args.m
-    if args.out is not None:
-        overrides["output_path"] = args.out
-    if args.format is not None:
-        overrides["format"] = args.format
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if overrides:
-        cfg = dataclasses.replace(cfg, **overrides)
-    return cfg
+    """The config file's keys with the given flags laid over them."""
+    flags = {key: value for key, value in vars(args).items() if value is not None}
+    path = flags.pop("config", None)
+    data = _read_config_file(path) if path else {}
+    return SweepConfig.from_dict({**data, **flags})
 
 
 def _check_writable(path: str) -> None:

@@ -25,7 +25,7 @@ channel QFI for N >= 2.  ``qfi_separable`` is exact on product inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from math import cos, isfinite, sin
 
@@ -52,7 +52,6 @@ from .states import (
     Subsystem,
     _system_env_split,
 )
-from .zeno import zeno_time
 
 POLE_TOL = 1e-8
 GRAM_CUTOFF = 1e-10
@@ -399,37 +398,9 @@ def qfi_separable(p: AnalyticParams) -> float:
 
 def qfi_ratio_asymptote(p: AnalyticParams) -> float:
     """N -> infinity limit of the entangled/separable QFI ratio:
-    [Gamma^2 + omega0^2 cot^2] / [Gamma^2 + omega0^2 cos^2]."""
-    phase = p.gamma * p.tau
-    s, c = sin(phase), cos(phase)
-    if abs(s) < POLE_TOL:
-        raise PoleProximityError(
-            f"sin(gamma*tau) = {s:.2e} too close to the cotangent pole"
-        )
-    return (p.gamma**2 + p.omega0**2 * (c / s) ** 2) / (
-        p.gamma**2 + p.omega0**2 * c**2
-    )
-
-
-def zeno_time_bound(
-    p: AnalyticParams, m: int, entangled: bool = True, asymptotic: bool = False
-) -> float:
-    """Zeno time 2 / sqrt(m F) for one state family, at one N or an array.
-
-    The entangled family uses the finite-N ansatz formula ``qfi_ghz``
-    unless ``asymptotic`` selects the flagged large-N cotangent variant;
-    the separable family uses the exact ``qfi_separable``.  With
-    P ~ 1 - m tau^2 F / 4, a larger F gives a shorter time, so for N >= 2,
-    where the entangled F is an upper bound on the channel QFI, the
-    entangled time is a lower bound on the one the exact channel QFI gives.
-    """
-    if entangled:
-        fq = qfi_ghz_large_n(p) if asymptotic else qfi_ghz(p)
-    else:
-        if asymptotic:
-            raise ValueError("the separable bound has no separate large-N variant")
-        fq = qfi_separable(p)
-    return zeno_time(m, fq)
+    [Gamma^2 + omega0^2 cot^2] / [Gamma^2 + omega0^2 cos^2], the per-qubit
+    large-N value over the one-qubit QFI."""
+    return qfi_ghz_large_n(replace(p, n=1)) / qfi_one_qubit(p)
 
 
 def _density_from_initial(initial) -> tuple[np.ndarray, np.ndarray]:

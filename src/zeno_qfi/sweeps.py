@@ -15,7 +15,7 @@ import math
 import numbers
 import time
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -35,10 +35,10 @@ from .qfi import (
     EnvOperatorBasis,
     minimize_qfi_bound,
     qfi_ghz,
+    qfi_ghz_large_n,
     qfi_ratio_asymptote,
     qfi_separable,
     qfi_sld_oracle,
-    zeno_time_bound,
 )
 from .paulis import PauliTerm
 from .states import (
@@ -59,6 +59,7 @@ from .zeno import (
     survival_probability_exact,
     survival_probability_quadratic,
     zeno_hamiltonian,
+    zeno_time,
 )
 
 MODES = ("ratio-vs-N", "qfi-vs-gamma", "zeno-time", "verify")
@@ -96,7 +97,10 @@ def _is_whole(value, least: int = 1) -> bool:
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """One CLI invocation: mode, physical grid, and output destination."""
+    """One CLI invocation: mode, physical grid, and output destination.
+
+    A grid left as None is filled with the mode's default.
+    """
 
     mode: str
     omega0_tau: float = 0.5
@@ -124,16 +128,22 @@ class SweepConfig:
         path = self.output_path
         if not (path is None or (isinstance(path, str) and path)):
             raise ConfigError("output_path must be a nonempty string or null")
-        if self.gamma_over_omega0 is not None:
+        if self.gamma_over_omega0 is None:
+            object.__setattr__(self, "gamma_over_omega0", _DEFAULT_GAMMA[self.mode])
+        else:
             gam = self.gamma_over_omega0
             gam = tuple(gam) if isinstance(gam, Iterable) else ()
             if not (gam and all(_is_finite_number(g) for g in gam)):
                 raise ConfigError("gamma_over_omega0 must be a nonempty list of finite numbers")
             object.__setattr__(self, "gamma_over_omega0", tuple(float(g) for g in gam))
-        gammas = self.gamma_over_omega0 or _DEFAULT_GAMMA[self.mode]
-        if any(not math.isfinite(g * self.omega0_tau) for g in gammas):
+        # The closed forms square gamma; a Python float ** overflow raises.
+        if any(not math.isfinite(g * g) for g in self.gamma_over_omega0):
+            raise ConfigError("gamma_over_omega0 squared must be finite")
+        if any(not math.isfinite(g * self.omega0_tau) for g in self.gamma_over_omega0):
             raise ConfigError("gamma_over_omega0 * omega0_tau must be finite")
-        if self.n_list is not None:
+        if self.n_list is None:
+            object.__setattr__(self, "n_list", _DEFAULT_N[self.mode])
+        else:
             ns = tuple(self.n_list) if isinstance(self.n_list, Iterable) else ()
             if not (ns and all(_is_whole(n) for n in ns)):
                 raise ConfigError("N_list must be a nonempty list of positive integers")
@@ -149,56 +159,20 @@ class SweepConfig:
             if not _is_finite_number(value):
                 raise ConfigError(f"tolerance {name!r} must be a finite number")
 
-    def resolved(self) -> "SweepConfig":
-        """Fill per-mode defaults for any grid left unspecified."""
-        cfg = self
-        if cfg.gamma_over_omega0 is None:
-            cfg = replace(cfg, gamma_over_omega0=_DEFAULT_GAMMA[cfg.mode])
-        if cfg.n_list is None:
-            cfg = replace(cfg, n_list=_DEFAULT_N[cfg.mode])
-        return cfg
-
     @classmethod
     def from_dict(cls, data: dict) -> "SweepConfig":
-        known = {
-            "mode",
-            "omega0_tau",
-            "gamma_over_omega0",
-            "N_list",
-            "m",
-            "output_path",
-            "format",
-            "seed",
-            "tolerances",
-        }
+        """Build from a config mapping: the field names, with ``N_list``
+        standing for ``n_list``."""
+        known = {"N_list" if f.name == "n_list" else f.name for f in fields(cls)}
         unknown = set(data) - known
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         if "mode" not in data:
-            raise ConfigError("config must specify a mode")
-        kwargs = dict(data)
-        if "N_list" in kwargs:
-            kwargs["n_list"] = kwargs.pop("N_list")
-        return cls(**kwargs)
-
-    @classmethod
-    def from_json_file(cls, path: str) -> "SweepConfig":
-        try:
-            with open(path, encoding="utf-8") as handle:
-                data = json.load(handle)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        if not isinstance(data, dict):
-            raise ConfigError("config file must contain a JSON object")
-        return cls.from_dict(data)
+            raise ConfigError("a mode is required (positional or in the config file)")
+        return cls(**{("n_list" if key == "N_list" else key): v for key, v in data.items()})
 
 
-_FLOAT_FORMAT = "%.11e"
-
-
-def format_float(value: float) -> str:
-    """12 significant digits, scientific notation: the one true format."""
-    return _FLOAT_FORMAT % value
+_FLOAT_FORMAT = "%.11e"  # 12 significant digits, scientific notation
 
 
 @dataclass
@@ -212,8 +186,7 @@ class Table:
 
     def to_csv_text(self) -> str:
         """Header, then each row through one template built from the first
-        row's types: ``%d`` for integers, ``format_float``'s format for the
-        rest."""
+        row's types: ``%d`` for integers, ``_FLOAT_FORMAT`` for the rest."""
         lines = [",".join(self.columns)]
         if self.rows:
             template = ",".join(
@@ -289,7 +262,6 @@ def _ratio_row(p: AnalyticParams) -> tuple:
 def run_ratio_vs_n(cfg: SweepConfig) -> Table:
     """Entangled/separable QFI ratio against qubit number, per gamma ratio,
     with the large-N asymptote alongside.  Rows are sorted by N."""
-    cfg = cfg.resolved()
     table, _ = _grid_table(
         (
             "N[qubits]",
@@ -347,7 +319,6 @@ def run_qfi_vs_gamma(cfg: SweepConfig) -> Table:
     """Entangled and separable QFI (units of omega0^2) over the gamma grid,
     one block per N; one seeded row per N <= 3 is re-derived with the
     variational solver as a consistency check."""
-    cfg = cfg.resolved()
     tau = cfg.omega0_tau
     table, usable_gammas = _grid_table(
         (
@@ -388,7 +359,6 @@ def run_zeno_time(cfg: SweepConfig) -> Table:
     entangled columns, whose F is an upper bound on the channel QFI for
     N >= 2, are lower bounds on the times the exact channel QFI gives.
     """
-    cfg = cfg.resolved()
     table, _ = _grid_table(
         (
             "N[qubits]",
@@ -403,9 +373,9 @@ def run_zeno_time(cfg: SweepConfig) -> Table:
         lambda p: (
             cfg.m,
             p.gamma,
-            zeno_time_bound(p, cfg.m, entangled=True),
-            zeno_time_bound(p, cfg.m, entangled=True, asymptotic=True),
-            zeno_time_bound(p, cfg.m, entangled=False),
+            zeno_time(cfg.m, qfi_ghz(p)),
+            zeno_time(cfg.m, qfi_ghz_large_n(p)),
+            zeno_time(cfg.m, qfi_separable(p)),
         ),
     )
     return table
@@ -489,20 +459,22 @@ def _random_density(rng: np.random.Generator, dim: int) -> DenseOperator:
     return DenseOperator(rho / np.trace(rho))
 
 
-def _kraus_completeness(seed: int) -> float:
+def _kraus_completeness(seed: int) -> tuple[float, None]:
     model = build_dephasing_model(1, 1.0, 1.0)
     times = (0.1, 0.5, 1.0, 2.0, math.pi, 5.0)
-    return max(kraus_from_dilation(model, t).completeness_residual for t in times)
+    return max(kraus_from_dilation(model, t).completeness_residual for t in times), None
 
 
-def _channel_vs_partial_trace(seed: int) -> float:
+def _channel_vs_partial_trace(seed: int) -> tuple[float, tuple]:
+    """Largest entry of the Kraus route minus the partial-trace route over
+    random density matrices and intervals, and the point where it sits."""
     rng = np.random.default_rng(seed)
     model = build_dephasing_model(1, 1.0, 1.0)
     # The environment starts in |0>, so U rho U^dag on the register needs
     # only the columns U|s,0>: it is cols rho cols^dag.
     env0 = zero_environment(1)
     embedded = [tensor_state(basis_state(s, (SYSTEM,)), env0) for s in range(2)]
-    worst = 0.0
+    gaps = []
     for _ in range(50):
         rho = _random_density(rng, 2)
         t = float(rng.uniform(1e-3, 2 * math.pi))
@@ -511,8 +483,8 @@ def _channel_vs_partial_trace(seed: int) -> float:
         via_trace = partial_trace(
             DenseOperator(cols @ rho.matrix @ cols.conj().T), model.labels, SYSTEM
         ).matrix
-        worst = max(worst, float(np.abs(via_kraus - via_trace).max()))
-    return worst
+        gaps.append((float(np.abs(via_kraus - via_trace).max()), (1, 1.0, 1.0, t)))
+    return _largest_gap(gaps)
 
 
 _RATES = (0.5, 1.0, 1.2)
@@ -549,12 +521,14 @@ def _random_pure(rng: np.random.Generator, n: int, label: Subsystem) -> StateVec
     return StateVector(amps, (label,) * n).normalized()
 
 
-def _survival_closed_vs_collapse(seed: int) -> float:
+def _survival_closed_vs_collapse(seed: int) -> tuple[float, tuple]:
     """The closed-form survival against the collapse loop, on random system
     and environment states, N in {1, 2, 3} and the two-pair model on an
-    interleaved (S, E, S, E) register."""
+    interleaved (S, E, S, E) register: the largest relative gap, and the
+    point where it sits (the interleaved model shares N = 2's rates)."""
     rng = np.random.default_rng(seed)
-    models = [build_dephasing_model(n, *rng.uniform(0.5, 1.5, 2)) for n in (1, 2, 3)]
+    rates = [tuple(map(float, rng.uniform(0.5, 1.5, 2))) for _ in range(3)]
+    models = [build_dephasing_model(n, *r) for n, r in zip((1, 2, 3), rates)]
     # Block positions S0, S1, E0, E1 move to interleaved positions 0, 2, 1, 3.
     models.append(
         DilatedEvolution(
@@ -565,8 +539,8 @@ def _survival_closed_vs_collapse(seed: int) -> float:
             ],
         )
     )
-    worst = 0.0
-    for model in models:
+    gaps = []
+    for model, (omega0, gamma) in zip(models, rates + [rates[1]]):
         n = model.n_qubits // 2
         projector = ZenoProjector(_random_pure(rng, n, SYSTEM))
         env0 = _random_pure(rng, n, ENVIRONMENT)
@@ -575,8 +549,8 @@ def _survival_closed_vs_collapse(seed: int) -> float:
             schedule = ZenoSchedule(m, tau)
             closed = survival_probability_exact(model, projector, env0, schedule)
             loop = _survival_by_collapse(model, projector, env0, schedule)
-            worst = max(worst, abs(closed - loop) / loop)
-    return worst
+            gaps.append((abs(closed - loop) / loop, (n, omega0, gamma, tau)))
+    return _largest_gap(gaps)
 
 
 def _zeno_survivals() -> list[float]:
@@ -590,7 +564,7 @@ def _zeno_survivals() -> list[float]:
     ]
 
 
-def _quadratic_order(seed: int) -> float:
+def _quadratic_order(seed: int) -> tuple[float, None]:
     model = build_dephasing_model(1, 1.0, 1.0)
     projector = ZenoProjector(plus_state(1))
     env0 = zero_environment(1)
@@ -603,19 +577,19 @@ def _quadratic_order(seed: int) -> float:
         exact = survival_probability_exact(model, projector, env0, schedule)
         quad = survival_probability_quadratic(h_hat, psi_full, schedule)
         ratios.append(abs(exact - quad) / (m * tau**3))
-    return max(r / ratios[0] for r in ratios) if ratios[0] > 0 else 0.0
+    return (max(r / ratios[0] for r in ratios) if ratios[0] > 0 else 0.0), None
 
 
 class _Check(NamedTuple):
     """One row of the verification suite; ``measure(seed)`` returns the
-    value compared against the threshold, or that value and the
-    (N, omega0, gamma, tau) where it sits."""
+    value compared against the threshold and the (N, omega0, gamma, tau)
+    where it sits, or None for a check without one worst point."""
 
     name: str
     threshold: float
     comparison: str
     detail: str
-    measure: Callable[[int], float]
+    measure: Callable[[int], tuple[float, tuple | None]]
 
 
 _CHECKS = (
@@ -648,11 +622,11 @@ _CHECKS = (
     ),
     _Check(
         "zeno_monotonic", -1e-12, "ge", "m doubling from 1 to 256",
-        lambda seed: min(b - a for a, b in itertools.pairwise(_zeno_survivals())),
+        lambda seed: (min(b - a for a, b in itertools.pairwise(_zeno_survivals())), None),
     ),
     _Check(
         "zeno_limit", 0.98, "ge", "P at m=256",
-        lambda seed: _zeno_survivals()[-1],
+        lambda seed: (_zeno_survivals()[-1], None),
     ),
     _Check(
         "quadratic_order", 1.1, "le", "error/(m tau^3) ratio across tau halvings",
@@ -670,11 +644,8 @@ def run_verify(cfg: SweepConfig) -> VerifyReport:
     checks = []
     for check in _CHECKS:
         start = time.perf_counter()
-        measured = check.measure(cfg.seed)
+        measured, worst_at = check.measure(cfg.seed)
         seconds = time.perf_counter() - start
-        worst_at = None
-        if isinstance(measured, tuple):
-            measured, worst_at = measured
         checks.append(
             VerifyCheck(
                 check.name, measured, tol[check.name], check.comparison,

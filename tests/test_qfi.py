@@ -32,7 +32,6 @@ from zeno_qfi.qfi import (
     qfi_separable,
     qfi_sld_oracle,
     qfi_upper_bound,
-    zeno_time_bound,
 )
 from zeno_qfi.states import (
     ENVIRONMENT,
@@ -44,6 +43,7 @@ from zeno_qfi.states import (
     tensor_state,
     zero_environment,
 )
+from zeno_qfi.zeno import zeno_time
 
 
 def model_setup(n, omega0, gamma):
@@ -770,24 +770,20 @@ def test_oracle_dense_cap():
 def test_zeno_bound_closed_system():
     p = AnalyticParams(n=1, omega0=1.0, gamma=0.0, tau=0.5)
     for m in (1, 25, 100):
-        assert zeno_time_bound(p, m, entangled=False) == pytest.approx(
-            2.0 / math.sqrt(m), rel=1e-12
-        )
+        assert zeno_time(m, qfi_separable(p)) == pytest.approx(2.0 / math.sqrt(m), rel=1e-12)
 
 
 def test_zeno_bound_frozen_value():
     p = AnalyticParams(n=1, omega0=1.0, gamma=1.0, tau=0.5)
-    assert zeno_time_bound(p, 100, entangled=False) == pytest.approx(
-        0.15032278716969957, rel=1e-12
-    )
-    assert abs(zeno_time_bound(p, 100, entangled=False) - 0.1503) < 1e-4
+    assert zeno_time(100, qfi_separable(p)) == pytest.approx(0.15032278716969957, rel=1e-12)
+    assert abs(zeno_time(100, qfi_separable(p)) - 0.1503) < 1e-4
 
 
 def test_zeno_bound_quadrupled_m_halves():
     p = AnalyticParams(n=3, omega0=1.0, gamma=0.7, tau=0.5)
-    for entangled in (True, False):
-        one = zeno_time_bound(p, 50, entangled=entangled)
-        four = zeno_time_bound(p, 200, entangled=entangled)
+    for qfi_family in (qfi_ghz, qfi_separable):
+        one = zeno_time(50, qfi_family(p))
+        four = zeno_time(200, qfi_family(p))
         assert four == pytest.approx(one / 2, rel=1e-12)
 
 
@@ -796,20 +792,17 @@ def test_zeno_bound_family_ratio_converges():
     c, s = math.cos(gamma * tau), math.sin(gamma * tau)
     const = math.sqrt((c**2 + gamma**2) / (gamma**2 + (c / s) ** 2))
     p = AnalyticParams(n=10**6, omega0=1.0, gamma=gamma, tau=tau)
-    ratio = zeno_time_bound(p, 100, entangled=True) / zeno_time_bound(
-        p, 100, entangled=False
-    )
+    ratio = zeno_time(100, qfi_ghz(p)) / zeno_time(100, qfi_separable(p))
     assert ratio == pytest.approx(const, rel=1e-4)
 
 
 def test_zeno_bound_asymptotic_variant():
     p = AnalyticParams(n=100, omega0=1.0, gamma=1.0, tau=0.5)
-    exact = zeno_time_bound(p, 10, entangled=True)
-    asym = zeno_time_bound(p, 10, entangled=True, asymptotic=True)
-    assert asym == pytest.approx(2.0 / math.sqrt(10 * qfi_ghz_large_n(p)), rel=1e-12)
+    exact = zeno_time(10, qfi_ghz(p))
+    asym = zeno_time(10, qfi_ghz_large_n(p))
+    large_n = 100 * (1.0 + 1.0 / math.tan(0.5) ** 2)  # N [Gamma^2 + omega0^2 cot^2]
+    assert asym == pytest.approx(2.0 / math.sqrt(10 * large_n), rel=1e-12)
     assert abs(exact - asym) / asym < 0.02
-    with pytest.raises(ValueError):
-        zeno_time_bound(p, 10, entangled=False, asymptotic=True)
 
 
 # ---- basis validation ----

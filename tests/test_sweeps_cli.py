@@ -28,7 +28,6 @@ from zeno_qfi.sweeps import (
     RUNNERS,
     SweepConfig,
     Table,
-    format_float,
     run_qfi_vs_gamma,
     run_ratio_vs_n,
     run_verify,
@@ -72,10 +71,10 @@ def test_config_rejects_bad_values():
 
 
 def test_config_defaults_resolve_per_mode():
-    cfg = SweepConfig(mode="ratio-vs-N").resolved()
+    cfg = SweepConfig(mode="ratio-vs-N")
     assert cfg.gamma_over_omega0 == (1.2, 1.1, 1.0, 0.9, 0.8)
     assert cfg.n_list == tuple(range(1, 501))
-    cfg = SweepConfig(mode="qfi-vs-gamma").resolved()
+    cfg = SweepConfig(mode="qfi-vs-gamma")
     assert cfg.n_list == (3, 5, 7)
     assert cfg.gamma_over_omega0[0] == 0.0
     assert cfg.gamma_over_omega0[-1] == pytest.approx(3.0)
@@ -89,8 +88,10 @@ def test_config_from_dict_maps_n_list():
 
 
 def test_config_rejects_unknown_keys():
-    with pytest.raises(ConfigError, match="unknown"):
-        SweepConfig.from_dict({"mode": "verify", "colour": "red"})
+    """The keys are the field names, with N_list standing for n_list."""
+    for key in ("colour", "n_list"):
+        with pytest.raises(ConfigError, match="unknown"):
+            SweepConfig.from_dict({"mode": "verify", key: 1})
 
 
 def test_config_rejects_bad_tolerances():
@@ -118,8 +119,8 @@ def test_config_caps_n_at_two_to_the_53():
 
 
 def test_float_format_is_twelve_significant_digits():
-    assert format_float(1.7701511529340699) == "1.77015115293e+00"
-    assert format_float(0.0001) == "1.00000000000e-04"
+    table = Table(columns=("x",), rows=[(1.7701511529340699,), (0.0001,)])
+    assert table.to_csv_text() == "x\n1.77015115293e+00\n1.00000000000e-04\n"
 
 
 # ---- tables ----
@@ -323,10 +324,58 @@ def test_cli_verify_exit_codes(tmp_path):
     assert "FAIL" in result.stdout
 
 
-def test_cli_requires_a_mode():
-    result = cli()
+def test_cli_requires_a_mode(tmp_path, capsys):
+    """No mode, given neither positionally nor in the file, is one config
+    error line."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"N_list": [1]}))
+    for argv in ([], ["--config", str(path)]):
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            "config error: a mode is required (positional or in the config file)"
+        ]
+        assert captured.out == ""
+
+
+def test_cli_rejects_mode_flag():
+    result = cli("--mode", "verify")
     assert result.returncode == 2
-    assert "mode" in result.stderr
+    assert "unrecognized arguments: --mode" in result.stderr
+    assert result.stdout == ""
+
+
+def test_cli_takes_mode_positionally_over_a_file_without_one(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"N_list": [1, 2], "gamma_over_omega0": [0.5]}))
+    assert run(["--config", str(path), "zeno-time"]) == 0
+    from_file = capsys.readouterr()
+    assert run(["zeno-time", "--n", "1", "2", "--gamma", "0.5"]) == 0
+    from_flags = capsys.readouterr()
+    assert (from_file.out, from_file.err) == (from_flags.out, from_flags.err)
+    assert len(from_file.out.splitlines()) == 3
+
+
+def test_cli_flag_overrides_a_bad_file_value(tmp_path, capsys):
+    """The file and the flags merge before validation, so a flag replaces
+    an invalid file value; an invalid value no flag replaces still fails."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"mode": "zeno-time", "N_list": [1], "m": -1}))
+    assert run(["--config", str(path), "--m", "5"]) == 0
+    m_cell = capsys.readouterr().out.splitlines()[1].split(",")[1]
+    assert m_cell == "5"
+    assert run(["--config", str(path), "--seed", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == ["config error: m must be a positive integer"]
+    assert captured.out == ""
+
+
+def test_cli_file_tolerances_reach_verify(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"tolerances": {"zeno_limit": 1.5}}))
+    assert run(["verify", "--config", str(path)]) == 1
+    failed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
+    assert len(failed) == 1 and failed[0].startswith("FAIL zeno_limit:")
 
 
 def test_cli_rejects_bad_config_file(tmp_path):
@@ -387,6 +436,30 @@ def test_cli_rejects_non_finite_phase(argv, capsys):
     captured = capsys.readouterr()
     assert captured.err.startswith("config error:")
     assert captured.out == ""
+
+
+def test_cli_rejects_gamma_with_an_infinite_square(tmp_path, capsys):
+    """A gamma whose square overflows is a config error, through --gamma
+    and through a config file; 1e160 used to end in an OverflowError
+    traceback from ``p.gamma**2``."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"mode": "zeno-time", "N_list": [1], "gamma_over_omega0": [1e160]}))
+    assert run(["--config", str(path)]) == 2
+    assert run(["zeno-time", "--n", "1", "--gamma", "1e160"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == ["config error: gamma_over_omega0 squared must be finite"] * 2
+    assert captured.out == ""
+
+
+def test_cli_runs_gamma_with_a_finite_square(capsys):
+    """gamma = 1e154 squares to 1e308: it runs, and skips the rows whose
+    values overflow."""
+    assert run(["ratio-vs-N", "--n", "1", "2", "--gamma", "1e154"]) == 0
+    captured = capsys.readouterr()
+    assert len(captured.out.splitlines()) == 2
+    assert captured.err.splitlines() == [
+        "row skipped (N=2, gamma_over_omega0=1e+154): non-finite value"
+    ]
 
 
 def test_cli_rejects_negative_seed_flag(capsys):
@@ -511,7 +584,7 @@ def _format_cell(value) -> str:
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
-        return format_float(float(value))
+        return sweeps._FLOAT_FORMAT % float(value)
     return str(value)
 
 
@@ -594,12 +667,19 @@ def _solver_gap(point, system, reference) -> float:
 
 
 def test_verify_reports_the_worst_point(default_report):
-    """The three solver checks name the (N, omega0, gamma, tau) of their
-    measured value, in the line and in the JSON; re-solving there gives
-    the measured value back."""
+    """The three solver checks, the channel check and the survival check
+    name the (N, omega0, gamma, tau) of their measured value, in the line
+    and in the JSON; re-solving a solver check there gives the measured
+    value back."""
     by_name = {c.name: c for c in default_report.checks}
     payload = {c["name"]: c for c in json.loads(default_report.to_json_text())["checks"]}
-    located = ("solver_vs_sld", "solver_vs_closed_form", "ansatz_bounds_true_qfi")
+    located = (
+        "channel_vs_partial_trace",
+        "solver_vs_sld",
+        "solver_vs_closed_form",
+        "ansatz_bounds_true_qfi",
+        "survival_closed_vs_collapse",
+    )
     for check in default_report.checks:
         if check.name not in located:
             assert check.worst_at is None and payload[check.name]["worst_at"] is None
@@ -609,6 +689,11 @@ def test_verify_reports_the_worst_point(default_report):
         assert payload[check.name]["worst_at"] == dict(
             N=n, omega0=omega0, gamma=gamma, tau=tau
         )
+
+    assert by_name["channel_vs_partial_trace"].worst_at[:3] == (1, 1.0, 1.0)
+    n, omega0, gamma, tau = by_name["survival_closed_vs_collapse"].worst_at
+    assert n in (1, 2, 3) and 0.5 <= min(omega0, gamma) <= max(omega0, gamma) <= 1.5
+    assert 0.05 <= tau <= 0.3
 
     at = by_name["ansatz_bounds_true_qfi"].worst_at
     model = build_dephasing_model(*at[:3])
