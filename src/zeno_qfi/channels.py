@@ -20,8 +20,8 @@ from .states import (
     SYSTEM,
     StateVector,
     Subsystem,
+    _system_env_join,
     _system_env_split,
-    register_order,
 )
 
 COMPLETENESS_TOL = 1e-10
@@ -129,13 +129,6 @@ def _evolved_amplitudes(u: DilatedEvolution, amps: np.ndarray, t: float) -> np.n
     return amps
 
 
-def _embedded_basis_indices(labels: tuple[Subsystem, ...]) -> np.ndarray:
-    """Full-register index of |s>_S |0...0>_E for each system index s."""
-    d_sys = 2 ** sum(1 for l in labels if l is SYSTEM)
-    # A copy, so the 2^n register order is not kept alive through a view.
-    return register_order(labels).reshape(d_sys, -1)[:, 0].copy()
-
-
 def _evolved_columns(u: DilatedEvolution, columns: np.ndarray, t: float) -> np.ndarray:
     """Row k is U(t) (f_k x |0...0>_E) for column f_k of a system-space
     matrix, each row evolved in place.
@@ -144,8 +137,11 @@ def _evolved_columns(u: DilatedEvolution, columns: np.ndarray, t: float) -> np.n
     in the dense budget.
     """
     check_dense_budget(columns.shape[1] * 2**u.n_qubits)
-    evolved = np.zeros((columns.shape[1], 2**u.n_qubits), dtype=np.complex128)
-    evolved[:, _embedded_basis_indices(u.labels)] = columns.T
+    d_sys = 2 ** u.labels.count(SYSTEM)
+    split = np.zeros((columns.shape[1], d_sys, 2**u.n_qubits // d_sys), np.complex128)
+    split[:, :, 0] = columns.T
+    # A view of ``split`` for the system-block-first layout, a copy otherwise.
+    evolved = _system_env_join(split, u.labels)
     for row in evolved:
         row[:] = _evolved_amplitudes(u, row, t)
     return evolved
@@ -159,7 +155,7 @@ def kraus_from_dilation(u: DilatedEvolution, t: float) -> KrausSet:
     system basis state, so d_S x 2^n amplitudes must fit in the dense
     budget.
     """
-    d_sys = 2 ** sum(1 for l in u.labels if l is SYSTEM)
+    d_sys = 2 ** u.labels.count(SYSTEM)
     # stacked[s, s', l] = <s', l| U |s, 0>
     stacked = _system_env_split(_evolved_columns(u, np.eye(d_sys), t), u.labels)
     operators = []
@@ -188,7 +184,7 @@ def generator(u: DilatedEvolution):
     its ordered product is not exp(-i G t) for any such sum.
     """
     terms = [PauliTerm(rate / 2.0, p.factors) for rate, p in u.rotations]
-    gen = OperatorSum(terms, hermitian=True, n_qubits=u.n_qubits)
+    gen = OperatorSum(terms, n_qubits=u.n_qubits)
     if not gen.mutually_commuting:
         raise ValueError("generator needs mutually commuting rotations")
     return gen

@@ -17,7 +17,6 @@ from .states import Subsystem
 
 DENSE_QUBIT_CAP = 12
 
-UNITARY_TOL = 1e-10
 HERMITIAN_TOL = 1e-10
 
 
@@ -44,14 +43,6 @@ class DenseOperator:
 
     def is_hermitian(self, tol: float = HERMITIAN_TOL) -> bool:
         return float(np.abs(self.matrix - self.matrix.conj().T).max()) <= tol
-
-    def is_unitary(self, tol: float = UNITARY_TOL) -> bool:
-        eye = np.eye(self.dim)
-        return float(np.abs(self.matrix @ self.matrix.conj().T - eye).max()) <= tol
-
-    @classmethod
-    def identity(cls, dim: int) -> "DenseOperator":
-        return cls(np.eye(dim, dtype=np.complex128))
 
 
 def check_dense_budget(entries: int) -> None:

@@ -89,9 +89,6 @@ class PauliTerm:
     def n_qubits(self) -> int:
         return len(self.factors)
 
-    def scaled(self, scalar: complex) -> "PauliTerm":
-        return PauliTerm(self.coefficient * scalar, self.factors)
-
 
 def pauli_product(f1: str, f2: str) -> tuple[complex, str]:
     """Product of two Pauli strings as (phase, factors), f1 acting first on
@@ -122,15 +119,15 @@ def paulis_commute(f1: str, f2: str) -> bool:
 
 
 class OperatorSum:
-    """Weighted sum of Pauli strings, optionally certified Hermitian.
+    """Weighted sum of Pauli strings.
 
     Construction canonicalizes: duplicate strings are merged, negligible
-    coefficients dropped, and terms sorted by factor string.  With
-    ``hermitian=True`` every merged coefficient must be real to 1e-12
-    (Pauli strings are Hermitian, so real weights are the whole check).
+    coefficients dropped, and terms sorted by factor string.  Pauli strings
+    are Hermitian, so ``hermitian`` is whether every merged coefficient is
+    real, to ``HERMITICITY_TOL``.
     """
 
-    def __init__(self, terms, hermitian: bool = True, n_qubits: int | None = None):
+    def __init__(self, terms, n_qubits: int | None = None):
         terms = tuple(terms)
         if terms:
             n = terms[0].n_qubits
@@ -146,19 +143,13 @@ class OperatorSum:
         merged: dict[str, complex] = {}
         for t in terms:
             merged[t.factors] = merged.get(t.factors, 0.0) + t.coefficient
-        canonical = []
-        for factors in sorted(merged):
-            c = merged[factors]
-            if abs(c) <= COEFF_PRUNE_TOL:
-                continue
-            if hermitian and abs(c.imag) > HERMITICITY_TOL:
-                raise HermiticityError(
-                    f"term {factors} has non-real coefficient {c} in a Hermitian sum"
-                )
-            canonical.append(PauliTerm(c, factors))
-
+        canonical, hermitian = [], True
+        for factors, c in sorted(merged.items()):
+            if abs(c) > COEFF_PRUNE_TOL:
+                canonical.append(PauliTerm(c, factors))
+                hermitian &= abs(c.imag) <= HERMITICITY_TOL
         self._terms = tuple(canonical)
-        self._hermitian = bool(hermitian)
+        self._hermitian = hermitian
         self._n = n
 
     @property
@@ -167,6 +158,7 @@ class OperatorSum:
 
     @property
     def hermitian(self) -> bool:
+        """Whether every coefficient is real to ``HERMITICITY_TOL``."""
         return self._hermitian
 
     @property
@@ -183,38 +175,13 @@ class OperatorSum:
     def _stack(self) -> "_StringStack":
         return _StringStack((self,))
 
-    def coefficient_of(self, factors: str) -> complex:
-        for t in self._terms:
-            if t.factors == factors:
-                return t.coefficient
-        return 0.0 + 0.0j
-
-    def __add__(self, other: "OperatorSum") -> "OperatorSum":
-        if not isinstance(other, OperatorSum):
-            return NotImplemented
-        return OperatorSum(
-            self._terms + other._terms,
-            hermitian=self._hermitian and other._hermitian,
-            n_qubits=self._n,
-        )
-
-    def __mul__(self, scalar) -> "OperatorSum":
-        scalar = complex(scalar)
-        return OperatorSum(
-            tuple(t.scaled(scalar) for t in self._terms),
-            hermitian=self._hermitian and abs(scalar.imag) <= HERMITICITY_TOL,
-            n_qubits=self._n,
-        )
-
-    __rmul__ = __mul__
-
     def __repr__(self):
         body = " + ".join(f"({t.coefficient:g})*{t.factors}" for t in self._terms)
         return f"OperatorSum[{body or '0'}]"
 
     @classmethod
-    def from_term(cls, coefficient: complex, factors: str, hermitian: bool = True):
-        return cls((PauliTerm(coefficient, factors),), hermitian=hermitian)
+    def from_term(cls, coefficient: complex, factors: str):
+        return cls((PauliTerm(coefficient, factors),))
 
 
 _ALL, _REVERSED = slice(None), slice(None, None, -1)
@@ -328,7 +295,7 @@ def _applied_vector(op, amplitudes: np.ndarray) -> np.ndarray:
             raise DimensionMismatchError("dense operator does not match state size")
         return op.matrix @ amplitudes
     if isinstance(op, PauliTerm):
-        op = OperatorSum((op,), hermitian=abs(op.coefficient.imag) <= HERMITICITY_TOL)
+        op = OperatorSum((op,))
     if 2**op.n_qubits != amplitudes.size:
         raise DimensionMismatchError(
             f"operator on {op.n_qubits} qubits applied to {amplitudes.size} amplitudes"
@@ -369,7 +336,7 @@ def to_dense(op) -> DenseOperator:
     """Dense matrix of a PauliTerm or OperatorSum (4^n entries, within the
     dense budget)."""
     if isinstance(op, PauliTerm):
-        op = OperatorSum((op,), hermitian=False)
+        op = OperatorSum((op,))
     check_dense_budget(4**op.n_qubits)
     dim = 2**op.n_qubits
     mat = np.zeros((dim, dim), dtype=np.complex128)

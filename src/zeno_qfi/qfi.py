@@ -33,7 +33,7 @@ import numpy as np
 
 from .channels import DilatedEvolution, _evolved_columns, generator
 from .dense import DenseOperator, hermitian_expm
-from .exceptions import DimensionMismatchError, PoleProximityError
+from .exceptions import DimensionMismatchError, HermiticityError, PoleProximityError
 from .paulis import (
     OperatorSum,
     PauliTerm,
@@ -74,7 +74,7 @@ class EnvOperatorBasis:
         sys_pos = [i for i, l in enumerate(labels) if l is SYSTEM]
         for op in elements:
             if not op.hermitian:
-                raise ValueError("basis elements must be Hermitian")
+                raise HermiticityError("basis elements must be Hermitian")
             if op.n_qubits != len(labels):
                 raise DimensionMismatchError("basis element does not match register")
             for term in op.terms:
@@ -234,7 +234,7 @@ def conjugate_env_operator(h_env: OperatorSum, h_hat, tau: float):
         for term in h_hat.terms:
             theta = 2.0 * term.coefficient.real * tau
             terms = _conjugate_by_rotation(terms, theta, term.factors)
-        return OperatorSum(terms, hermitian=h_env.hermitian, n_qubits=h_env.n_qubits)
+        return OperatorSum(terms, n_qubits=h_env.n_qubits)
     h_mat = to_dense(h_env).matrix
     h_dense = h_hat if isinstance(h_hat, DenseOperator) else to_dense(h_hat)
     u = hermitian_expm(h_dense, tau)
@@ -243,13 +243,16 @@ def conjugate_env_operator(h_env: OperatorSum, h_hat, tau: float):
 
 def _evolved_state(h_hat, psi_full: StateVector, tau) -> np.ndarray:
     """Amplitudes of exp(-i H_hat tau)|psi>: one Pauli rotation per term
-    with theta = 2 Re(c) tau when the terms commute, as in
-    ``conjugate_env_operator``, otherwise one dense exponential."""
+    with theta = 2 c tau when the terms commute, as in
+    ``conjugate_env_operator``, otherwise one dense exponential.  Either
+    way a generator that is not Hermitian raises ``HermiticityError``."""
     size = h_hat.dim if isinstance(h_hat, DenseOperator) else 2**h_hat.n_qubits
     if size != psi_full.dim:
         raise DimensionMismatchError("generator does not match the state register")
     amps = psi_full.amplitudes
     if isinstance(h_hat, OperatorSum) and h_hat.mutually_commuting:
+        if not h_hat.hermitian:
+            raise HermiticityError("the generator must be a Hermitian operator sum")
         for term in h_hat.terms:
             amps = _rotate(term.factors, 2.0 * term.coefficient.real * tau, amps)
         return amps
@@ -411,7 +414,7 @@ def _density_from_initial(initial) -> tuple[np.ndarray, np.ndarray]:
     rank.
     """
     if isinstance(initial, StateVector):
-        if initial.count(ENVIRONMENT):
+        if ENVIRONMENT in initial.labels:
             raise ValueError("initial state must live on system qubits only")
         if not initial.is_normalized():
             raise ValueError("initial state must be normalized")
@@ -455,7 +458,7 @@ def qfi_sld_oracle(evolution: DilatedEvolution, initial, tau: float) -> float:
     if not tau > 0:
         raise ValueError("interval must be positive")
     columns, weights = _density_from_initial(initial)
-    if columns.shape[0] != 2 ** sum(1 for l in evolution.labels if l is SYSTEM):
+    if columns.shape[0] != 2 ** evolution.labels.count(SYSTEM):
         raise DimensionMismatchError("initial state does not match the system register")
     gen = generator(evolution)
     labels = evolution.labels

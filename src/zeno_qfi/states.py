@@ -77,12 +77,6 @@ class StateVector:
             raise ValueError("cannot normalize a zero state vector")
         return StateVector(self.amplitudes / n, self.labels)
 
-    def positions(self, which: Subsystem) -> tuple[int, ...]:
-        return tuple(i for i, l in enumerate(self.labels) if l is which)
-
-    def count(self, which: Subsystem) -> int:
-        return sum(1 for l in self.labels if l is which)
-
 
 def basis_state(index: int, labels: tuple[Subsystem, ...]) -> StateVector:
     """Computational basis state |index> on the given register."""
@@ -151,11 +145,22 @@ def _system_env_split(amps: np.ndarray, labels: tuple[Subsystem, ...]) -> np.nda
     (system_dim, environment_dim) axes: a view for the system-block-first
     layout, a copy otherwise."""
     n, lead = len(labels), amps.shape[:-1]
-    d_s = 2 ** sum(1 for l in labels if l is SYSTEM)
+    d_s = 2 ** labels.count(SYSTEM)
     k = len(lead)
     axes = (*range(k), *(k + a for a in _system_env_axes(labels)))
     tensor = amps.reshape(lead + (2,) * n).transpose(axes)
     return tensor.reshape(lead + (d_s, 2**n // d_s))
+
+
+def _system_env_join(split: np.ndarray, labels: tuple[Subsystem, ...]) -> np.ndarray:
+    """Inverse of :func:`_system_env_split`: the last two axes, (system_dim,
+    environment_dim), joined into 2^n amplitudes in register order; a view
+    for the system-block-first layout of a contiguous array, else a copy."""
+    n, lead = len(labels), split.shape[:-2]
+    k = len(lead)
+    axes = (*range(k), *(k + a for a in np.argsort(_system_env_axes(labels))))
+    tensor = split.reshape(lead + (2,) * n).transpose(axes)
+    return tensor.reshape(lead + (2**n,))
 
 
 def system_env_matrix(state: StateVector) -> np.ndarray:
@@ -173,7 +178,4 @@ def from_system_env_matrix(
     mat: np.ndarray, labels: tuple[Subsystem, ...]
 ) -> StateVector:
     """Inverse of :func:`system_env_matrix` for the given register."""
-    n = len(labels)
-    tensor = np.asarray(mat, dtype=np.complex128).reshape((2,) * n)
-    amps = tensor.transpose(np.argsort(_system_env_axes(labels))).reshape(-1)
-    return StateVector(amps, labels)
+    return StateVector(_system_env_join(np.asarray(mat), labels), labels)

@@ -36,8 +36,8 @@ from .states import (
     SYSTEM,
     StateVector,
     Subsystem,
+    _system_env_join,
     from_system_env_matrix,
-    register_order,
     system_env_matrix,
     tensor_state,
 )
@@ -70,10 +70,6 @@ class ZenoSchedule:
             raise ValueError("need at least one measurement")
         if not self.tau > 0:
             raise ValueError("measurement interval must be positive")
-
-    @property
-    def total_time(self) -> float:
-        return self.m * self.tau
 
 
 def _project_system(
@@ -259,10 +255,11 @@ def _dense_projector(
     psi0: StateVector, labels: tuple[Subsystem, ...]
 ) -> np.ndarray:
     """Dense |psi0><psi0| x I_env on a register with arbitrary label order."""
-    d_env = 2 ** sum(1 for l in labels if l is ENVIRONMENT)
-    embed = np.empty((2 ** len(labels), d_env), dtype=np.complex128)
-    embed[register_order(labels)] = np.kron(psi0.amplitudes[:, None], np.eye(d_env))
-    return embed @ embed.conj().T
+    d_env = 2 ** labels.count(ENVIRONMENT)
+    # Row e is |psi0>|e> in register order.
+    block = np.einsum("s,ef->esf", psi0.amplitudes, np.eye(d_env))
+    rows = _system_env_join(block, labels)
+    return rows.T @ rows.conj()
 
 
 def zeno_hamiltonian(
@@ -324,10 +321,14 @@ def zeno_time(m: int, qfi_bound: float) -> float:
     ``verify``) reaches 0 at tau = 2 / sqrt(m F), which falls as F grows:
     so when F is itself an upper bound on the channel QFI F_Q, the time
     returned is a lower bound on 2 / sqrt(m F_Q), the time the exact
-    channel QFI gives.
+    channel QFI gives.  A finite F whose product with m overflows still
+    gives a finite time; an infinite F (an overflowed closed form) gives nan.
     """
     if m < 1:
         raise ValueError("need at least one measurement")
     if not np.all(qfi_bound > 0):
         raise ValueError("information bound must be positive")
-    return 2.0 / np.sqrt(m * qfi_bound)
+    with np.errstate(over="ignore"):
+        mf = m * qfi_bound
+    root = np.where(np.isfinite(mf), np.sqrt(mf), np.sqrt(m) * np.sqrt(qfi_bound))
+    return np.where(np.isfinite(qfi_bound), 2.0 / root, np.nan)[()]

@@ -24,7 +24,18 @@ from zeno_qfi.paulis import (
     to_dense,
     variance,
 )
-from zeno_qfi.states import SYSTEM, StateVector, basis_state, ghz_state, plus_state
+from zeno_qfi.qfi import EnvOperatorBasis, minimize_qfi_bound
+from zeno_qfi.states import (
+    ENVIRONMENT,
+    SYSTEM,
+    StateVector,
+    basis_state,
+    ghz_state,
+    plus_state,
+    tensor_state,
+    zero_environment,
+)
+from zeno_qfi.zeno import ZenoProjector, zeno_hamiltonian
 
 
 def random_state(rng, n):
@@ -38,7 +49,7 @@ def random_operator(rng, n, hermitian):
         factors = "".join(rng.choice(list("IXYZ")) for _ in range(n))
         coeff = rng.normal() if hermitian else rng.normal() + 1j * rng.normal()
         terms.append(PauliTerm(coeff, factors))
-    return OperatorSum(terms, hermitian=hermitian)
+    return OperatorSum(terms)
 
 
 # ---- products and commutation ----
@@ -136,7 +147,7 @@ def test_apply_string_matches_dense_on_every_string(n):
     strings = ["".join(chars) for chars in itertools.product("IXYZ", repeat=n)]
     scales = rng.normal(size=len(strings)) + 1j * rng.normal(size=len(strings))
     ops = [
-        OperatorSum.from_term(scale, factors, hermitian=False)
+        OperatorSum.from_term(scale, factors)
         for scale, factors in zip(scales, strings)
     ]
     gathered = _StringStack(ops).apply(v)
@@ -156,7 +167,7 @@ def test_applied_vector_equals_sequential_flip_sum(n):
     v = random_state(rng, n).amplitudes
     for _ in range(5):
         op = random_operator(rng, n, hermitian=False)
-        op = op + random_operator(rng, n, hermitian=False)
+        op = OperatorSum(op.terms + random_operator(rng, n, hermitian=False).terms)
         assert len(op.terms) >= 2
         expected = _apply_string(op.terms[0].factors, v, op.terms[0].coefficient)
         for t in op.terms[1:]:
@@ -182,7 +193,7 @@ def test_mutually_commuting_flag():
 
 def expectation(op, state: StateVector) -> float:
     """Real expectation value <psi|O|psi> of a Hermitian operator: an
-    OperatorSum with its hermitian flag set, or a Hermitian DenseOperator.
+    OperatorSum with real coefficients, or a Hermitian DenseOperator.
     An imaginary residue above 1e-10 raises."""
     if isinstance(op, OperatorSum) and not op.hermitian:
         raise HermiticityError("expectation requires a Hermitian operator sum")
@@ -213,7 +224,7 @@ def test_expectation_ghz_z_sum_cancels():
 
 
 def test_expectation_rejects_non_hermitian():
-    op = OperatorSum([PauliTerm(1j, "Z")], hermitian=False)
+    op = OperatorSum([PauliTerm(1j, "Z")])
     with pytest.raises(HermiticityError):
         expectation(op, plus_state(1))
 
@@ -263,26 +274,60 @@ def test_variance_nonnegative_on_random_pairs():
 
 def test_operator_sum_merges_duplicates():
     op = OperatorSum([PauliTerm(0.5, "ZX"), PauliTerm(0.25, "ZX")])
-    assert len(op.terms) == 1
-    assert op.coefficient_of("ZX") == pytest.approx(0.75)
+    assert op.terms == (PauliTerm(0.75, "ZX"),)
 
 
 def test_operator_sum_rejects_complex_hermitian_coefficients():
+    """A 1 + 1e-6i coefficient makes a sum non-Hermitian, and every use that
+    needs a Hermitian operator refuses it; the same sum with a real
+    coefficient is accepted."""
+    labels = (SYSTEM, ENVIRONMENT)
+    psi = tensor_state(plus_state(1), zero_environment(1))
+    basis = EnvOperatorBasis.single_qubit_paulis(labels)
+    good = OperatorSum([PauliTerm(0.5, "ZI"), PauliTerm(0.5, "ZX")], n_qubits=2)
+    assert good.hermitian
+    assert variance(good, psi) == pytest.approx(0.5)
+    bad = OperatorSum([PauliTerm(1.0 + 1e-6j, "ZI"), PauliTerm(0.5, "ZX")])
+    assert not bad.hermitian
     with pytest.raises(HermiticityError):
-        OperatorSum([PauliTerm(1.0 + 1e-6j, "Z")])
+        variance(bad, psi)
+    with pytest.raises(HermiticityError):
+        EnvOperatorBasis((OperatorSum([PauliTerm(1.0 + 1e-6j, "IX")]),), labels)
+    with pytest.raises(HermiticityError):
+        zeno_hamiltonian(bad, ZenoProjector(plus_state(1)), labels)
+    with pytest.raises(HermiticityError):
+        minimize_qfi_bound(bad, basis, psi, 0.5)
+
+
+def test_hermitian_flag_is_read_off_the_merged_coefficients():
+    """Over random sums, ``hermitian`` is True exactly when every merged
+    coefficient is real to 1e-12, also when a complex term cancels against
+    its negative."""
+    rng = np.random.default_rng(43)
+    seen = set()
+    for _ in range(300):
+        n = int(rng.integers(1, 4))
+        terms = []
+        for _ in range(rng.integers(1, 5)):
+            factors = "".join(rng.choice(list("IXYZ")) for _ in range(n))
+            imag = rng.choice([0.0, 1e-13, 1e-6, 1.0])
+            terms.append(PauliTerm(rng.normal() + 1j * imag, factors))
+        if rng.integers(2):
+            factors = "".join(rng.choice(list("IXYZ")) for _ in range(n))
+            c = rng.normal() + 1j * rng.normal()
+            terms += [PauliTerm(c, factors), PauliTerm(-c, factors)]
+        merged = {}
+        for t in terms:
+            merged[t.factors] = merged.get(t.factors, 0.0) + t.coefficient
+        expected = all(abs(c.imag) <= 1e-12 for c in merged.values())
+        assert OperatorSum(terms).hermitian == expected, terms
+        seen.add(expected)
+    assert seen == {True, False}
 
 
 def test_operator_sum_allows_tiny_imaginary_noise():
     op = OperatorSum([PauliTerm(1.0 + 1e-14j, "Z")])
     assert op.hermitian
-
-
-def test_operator_sum_scalar_and_add():
-    a = OperatorSum.from_term(1.0, "Z")
-    b = OperatorSum.from_term(2.0, "X")
-    combined = a + 0.5 * b
-    assert combined.coefficient_of("Z") == pytest.approx(1.0)
-    assert combined.coefficient_of("X") == pytest.approx(1.0)
 
 
 # ---- to_dense ----

@@ -10,6 +10,7 @@ from zeno_qfi.dense import DenseOperator
 from zeno_qfi.exceptions import (
     DenseCapError,
     DimensionMismatchError,
+    HermiticityError,
     PoleProximityError,
 )
 from zeno_qfi.paulis import OperatorSum, PauliTerm, _applied_vector, to_dense
@@ -126,25 +127,25 @@ def test_conjugation_at_zero_interval():
     _, h_hat = model_setup(1, 1.0, 1.0)
     h_env = OperatorSum.from_term(1.0, "IY")
     out = conjugate_env_operator(h_env, h_hat, 0.0)
-    assert out.coefficient_of("IY") == pytest.approx(1.0)
-    assert len(out.terms) == 1
+    assert [t.factors for t in out.terms] == ["IY"]
+    assert out.terms[0].coefficient == pytest.approx(1.0)
 
 
 def test_conjugation_leaves_x_alone():
     # X_E commutes with both Z_S and Z_S X_E, so it never rotates
     _, h_hat = model_setup(1, 1.0, 1.0)
     out = conjugate_env_operator(OperatorSum.from_term(1.0, "IX"), h_hat, 0.8)
-    assert out.coefficient_of("IX") == pytest.approx(1.0)
-    assert len(out.terms) == 1
+    assert out.terms == (PauliTerm(1.0, "IX"),)
 
 
 def test_conjugation_rotates_y_into_zz():
     omega0, gamma, tau = 1.0, 1.0, 0.5
     _, h_hat = model_setup(1, omega0, gamma)
     out = conjugate_env_operator(OperatorSum.from_term(1.0, "IY"), h_hat, tau)
-    assert out.coefficient_of("IY") == pytest.approx(math.cos(gamma * tau), rel=1e-12)
-    assert out.coefficient_of("ZZ") == pytest.approx(-math.sin(gamma * tau), rel=1e-12)
-    assert len(out.terms) == 2
+    assert [t.factors for t in out.terms] == ["IY", "ZZ"]
+    assert [t.coefficient for t in out.terms] == pytest.approx(
+        [math.cos(gamma * tau), -math.sin(gamma * tau)], rel=1e-12
+    )
 
 
 @pytest.mark.parametrize("factors", ["IX", "IY", "IZ"])
@@ -156,6 +157,17 @@ def test_conjugation_matches_dense_oracle(factors):
     u = (v * np.exp(-1j * w * tau)) @ v.conj().T
     oracle = u.conj().T @ to_dense(OperatorSum.from_term(1.0, factors)).matrix @ u
     np.testing.assert_allclose(to_dense(out).matrix, oracle, atol=1e-12)
+
+
+def test_conjugation_keeps_hermitian_elements_hermitian():
+    """The Pauli-algebra conjugation of every Hermitian element of the
+    complete basis is again a Hermitian sum, at random rates and intervals."""
+    rng = np.random.default_rng(47)
+    for _ in range(5):
+        model, h_hat = model_setup(2, *rng.uniform(0.1, 2.0, size=2))
+        tau = float(rng.uniform(0.05, 3.0))
+        for element in EnvOperatorBasis.complete(model.labels).elements:
+            assert conjugate_env_operator(element, h_hat, tau).hermitian
 
 
 def test_conjugation_dense_fallback_for_noncommuting_generator():
@@ -211,11 +223,11 @@ def test_minimum_is_a_local_minimum():
     sol = minimize_qfi_bound(h_hat, basis, psi, tau)
 
     def value_at(coeffs):
-        shifted = h_hat
+        terms = list(h_hat.terms)
         for c, element in zip(coeffs, basis.elements):
             conj = conjugate_env_operator(element, h_hat, tau)
-            shifted = shifted + float(c) * conj
-        return qfi_upper_bound(shifted, psi)
+            terms += [PauliTerm(float(c) * t.coefficient, t.factors) for t in conj.terms]
+        return qfi_upper_bound(OperatorSum(terms), psi)
 
     base = value_at(sol.coefficients)
     assert base == pytest.approx(sol.qfi, rel=1e-9)
@@ -447,6 +459,16 @@ def test_minimize_rejects_state_on_wrong_register(dense):
         h_hat = to_dense(h_hat)
     basis = EnvOperatorBasis.single_qubit_paulis(model.labels)
     with pytest.raises(DimensionMismatchError):
+        minimize_qfi_bound(h_hat, basis, product_input(1), 0.5)
+
+
+def test_minimize_rejects_non_hermitian_commuting_generator():
+    """0.5i ZI + 0.5 ZX commutes term by term; the rotation path kept only
+    the real parts of its coefficients and returned qfi = 2.0."""
+    h_hat = OperatorSum([PauliTerm(0.5j, "ZI"), PauliTerm(0.5, "ZX")])
+    assert h_hat.mutually_commuting and not h_hat.hermitian
+    basis = EnvOperatorBasis.single_qubit_paulis((SYSTEM, ENVIRONMENT))
+    with pytest.raises(HermiticityError):
         minimize_qfi_bound(h_hat, basis, product_input(1), 0.5)
 
 

@@ -193,11 +193,3 @@ def test_system_env_matrix_contracts_correctly():
     expected = np.zeros((2, 2))
     expected[1, 0] = 1.0
     np.testing.assert_allclose(mat, expected)
-
-
-def test_positions_and_counts():
-    labels = (SYSTEM, ENVIRONMENT, ENVIRONMENT)
-    state = basis_state(0, labels)
-    assert state.positions(SYSTEM) == (0,)
-    assert state.positions(ENVIRONMENT) == (1, 2)
-    assert state.count(ENVIRONMENT) == 2

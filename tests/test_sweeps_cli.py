@@ -462,6 +462,20 @@ def test_cli_runs_gamma_with_a_finite_square(capsys):
     ]
 
 
+def test_cli_zeno_time_survives_an_overflowing_product(capsys):
+    """gamma = 1e154 at m = 100: at N = 1 the bound F is about 1e308 and
+    m F overflows, yet the times are the finite 2 / sqrt(m F), about 2e-155,
+    not 0.  At N = 2 F itself overflows, so that row is skipped."""
+    assert run(["zeno-time", "--n", "1", "2", "--gamma", "1e154"]) == 0
+    captured = capsys.readouterr()
+    _, row = captured.out.splitlines()
+    assert row.split(",")[:3] == ["1", "100", "1.00000000000e+154"]
+    assert [float(v) for v in row.split(",")[3:]] == pytest.approx([2e-155] * 3, rel=1e-12)
+    assert captured.err.splitlines() == [
+        "row skipped (N=2, gamma_over_omega0=1e+154): non-finite value"
+    ]
+
+
 def test_cli_rejects_negative_seed_flag(capsys):
     assert run(["qfi-vs-gamma", "--seed", "-3"]) == 2
     captured = capsys.readouterr()
