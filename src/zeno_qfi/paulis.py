@@ -4,8 +4,8 @@ A Pauli string is applied to a state vector in one of two ways, chosen by
 register size; both give the same result to the last bit (up to the sign
 of a zero):
 
-- On registers of at most ``GATHER_MAX_QUBITS`` = 8 qubits, a whole stack
-  of strings is applied in one gather.  A string is two bit masks, x (the
+- On registers of at most ``GATHER_MAX_QUBITS`` = 8 qubits, every term of
+  a sum is applied in one gather.  A string is two bit masks, x (the
   qubits under X or Y) and z (those under Z or Y), and its coefficient
   absorbs (-i)^{n_Y}; then
   out[k, j] = coef_k (-1)^{popcount(j & z_k)} amps[j ^ x_k]
@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from itertools import accumulate, combinations
+from itertools import combinations
 
 import numpy as np
 
@@ -173,7 +173,7 @@ class OperatorSum:
 
     @cached_property
     def _stack(self) -> "_StringStack":
-        return _StringStack((self,))
+        return _StringStack(self)
 
     def __repr__(self):
         body = " + ".join(f"({t.coefficient:g})*{t.factors}" for t in self._terms)
@@ -232,58 +232,56 @@ def _gather(x, z, coef, amplitudes: np.ndarray, out=None) -> np.ndarray:
     return out
 
 
-class _StringStack:
-    """Pauli sums applied to one vector together, as the rows of one array.
+def _string_masks(factors, coefficients):
+    """(x, z, coef) of Pauli strings for ``_gather``: the bit masks of the
+    qubits under X or Y and of those under Z or Y (qubit 0 on the highest
+    bit), and the coefficients times (-i)^{n_Y}.  An empty string has
+    masks 0."""
+    x = [int(f.translate(_X_BITS) or "0", 2) for f in factors]
+    z = [int(f.translate(_Z_BITS) or "0", 2) for f in factors]
+    coef = [c * (-1j) ** f.count("Y") for f, c in zip(factors, coefficients)]
+    return (
+        np.array(x, dtype=np.intp),
+        np.array(z, dtype=np.intp),
+        np.array(coef, dtype=np.complex128),
+    )
 
-    On registers of at most ``GATHER_MAX_QUBITS`` qubits every term of every
-    sum goes through one gather, and a sum of several terms adds its rows in
-    term order.  On larger registers each sum runs through the flip kernel
-    term by term, the first term written into its row and each later one
-    added to it.  Either way the result equals the term-by-term sum.
+
+class _StringStack:
+    """One Pauli sum applied to a vector, its terms stacked as rows.
+
+    On registers of at most ``GATHER_MAX_QUBITS`` qubits every term goes
+    through one gather and the rows are added in term order.  On larger
+    registers the flip kernel runs term by term, the first term written
+    into the output and each later one added to it.  Either way the result
+    equals the term-by-term sum.
     """
 
-    def __init__(self, ops):
-        self.ops = tuple(ops)
+    def __init__(self, op: OperatorSum):
+        self.terms = op.terms
 
     @cached_property
     def _masks(self):
-        """(x, z, coef, ends): the masks of every term in order (qubit 0 on
-        the highest bit), the coefficients times (-i)^{n_Y}, and the end row
-        of each sum's terms, or None when every sum has one term."""
-        terms = [t for op in self.ops for t in op.terms]
-        x = [int(t.factors.translate(_X_BITS), 2) for t in terms]
-        z = [int(t.factors.translate(_Z_BITS), 2) for t in terms]
-        coef = [t.coefficient * (-1j) ** t.factors.count("Y") for t in terms]
-        counts = [len(op.terms) for op in self.ops]
-        ends = None if all(c == 1 for c in counts) else list(accumulate(counts))
-        return (
-            np.array(x, dtype=np.intp),
-            np.array(z, dtype=np.intp),
-            np.array(coef, dtype=np.complex128),
-            ends,
+        return _string_masks(
+            [t.factors for t in self.terms], [t.coefficient for t in self.terms]
         )
 
     def apply(self, amplitudes: np.ndarray, out=None) -> np.ndarray:
-        """Row k holds ops[k] applied to the amplitudes, written into
-        ``out`` when given."""
+        """The sum applied to the amplitudes, written into ``out`` when
+        given."""
         if out is None:
-            out = np.empty((len(self.ops), amplitudes.size), dtype=np.complex128)
-        if amplitudes.size > 2**GATHER_MAX_QUBITS:
-            for row, op in zip(out, self.ops):
-                if not op.terms:
-                    row[:] = 0.0
-                    continue
-                first, *rest = op.terms
-                _apply_string(first.factors, amplitudes, first.coefficient, out=row)
-                for t in rest:
-                    row += _apply_string(t.factors, amplitudes, t.coefficient)
-            return out
-        x, z, coef, ends = self._masks
-        if ends is None:
-            return _gather(x, z, coef, amplitudes, out)
-        rows = _gather(x, z, coef, amplitudes)
-        for row, lo, hi in zip(out, [0, *ends], ends):
-            np.add.reduce(rows[lo:hi], axis=0, out=row)
+            out = np.empty(amplitudes.size, dtype=np.complex128)
+        if not self.terms:
+            out[:] = 0.0
+        elif amplitudes.size > 2**GATHER_MAX_QUBITS:
+            first, *rest = self.terms
+            _apply_string(first.factors, amplitudes, first.coefficient, out=out)
+            for t in rest:
+                out += _apply_string(t.factors, amplitudes, t.coefficient)
+        elif len(self.terms) == 1:
+            _gather(*self._masks, amplitudes, out[None])
+        else:
+            np.add.reduce(_gather(*self._masks, amplitudes), axis=0, out=out)
         return out
 
 
@@ -300,7 +298,7 @@ def _applied_vector(op, amplitudes: np.ndarray) -> np.ndarray:
         raise DimensionMismatchError(
             f"operator on {op.n_qubits} qubits applied to {amplitudes.size} amplitudes"
         )
-    return op._stack.apply(amplitudes)[0]
+    return op._stack.apply(amplitudes)
 
 
 def apply_operator(op, state: StateVector) -> StateVector:
@@ -317,6 +315,8 @@ def variance(op, state: StateVector) -> float:
     The squared-norm form is robust near eigenstates; values in
     [-1e-12, 0) are clamped to zero, anything lower raises.
     """
+    if isinstance(op, PauliTerm):
+        op = OperatorSum((op,))
     if isinstance(op, OperatorSum) and not op.hermitian:
         raise HermiticityError("variance requires a Hermitian operator sum")
     if isinstance(op, DenseOperator) and not op.is_hermitian():

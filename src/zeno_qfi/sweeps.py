@@ -284,13 +284,17 @@ def _relative_gaps(grid, taus, inputs):
     with its point (N, omega0, gamma, tau).
 
     ``inputs(model, p)`` lists (system state, reference value) pairs; each
-    state is paired with |0...0>_E.  Generator and basis are built once per
-    model.
+    state is paired with |0...0>_E.  The generator is built once per model,
+    the basis, whose product table the solver builds on first use, once
+    per register size.
     """
+    bases: dict[int, EnvOperatorBasis] = {}
     for n, omega0, gamma in grid:
         model = build_dephasing_model(n, omega0, gamma)
         h_hat = generator(model)
-        basis = EnvOperatorBasis.single_qubit_paulis(model.labels)
+        if n not in bases:
+            bases[n] = EnvOperatorBasis.single_qubit_paulis(model.labels)
+        basis = bases[n]
         for tau in taus:
             p = AnalyticParams(n=n, omega0=omega0, gamma=gamma, tau=tau)
             for system, reference in inputs(model, p):

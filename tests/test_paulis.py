@@ -16,7 +16,8 @@ from zeno_qfi.paulis import (
     PauliTerm,
     _apply_string,
     _applied_vector,
-    _StringStack,
+    _gather,
+    _string_masks,
     apply_operator,
     pauli_product,
     pauli_rotation_apply,
@@ -146,11 +147,7 @@ def test_apply_string_matches_dense_on_every_string(n):
     v = random_state(rng, n).amplitudes
     strings = ["".join(chars) for chars in itertools.product("IXYZ", repeat=n)]
     scales = rng.normal(size=len(strings)) + 1j * rng.normal(size=len(strings))
-    ops = [
-        OperatorSum.from_term(scale, factors)
-        for scale, factors in zip(scales, strings)
-    ]
-    gathered = _StringStack(ops).apply(v)
+    gathered = _gather(*_string_masks(strings, scales), v)
     for factors, scale, row in zip(strings, scales, gathered):
         slow = scale * (to_dense(PauliTerm(1.0, factors)).matrix @ v)
         fast = _apply_string(factors, v, scale)
@@ -227,6 +224,15 @@ def test_expectation_rejects_non_hermitian():
     op = OperatorSum([PauliTerm(1j, "Z")])
     with pytest.raises(HermiticityError):
         expectation(op, plus_state(1))
+
+
+def test_variance_rejects_a_bare_term_with_a_complex_coefficient():
+    """iZ has mean 0 on |+>, so only the coefficient check can catch it;
+    a bare term is refused as the same term in a sum is."""
+    for op in (PauliTerm(1j, "Z"), OperatorSum([PauliTerm(1j, "Z")])):
+        with pytest.raises(HermiticityError):
+            variance(op, plus_state(1))
+    assert variance(PauliTerm(1.0, "Z"), plus_state(1)) == pytest.approx(1.0)
 
 
 def test_variance_eigenstate_is_zero():

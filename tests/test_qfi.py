@@ -66,14 +66,14 @@ def minimize_by_gradient_descent(
 ):
     """Oracle: plain gradient descent on the solver's own quadratic, so only
     the solve differs from minimize_qfi_bound."""
-    phi, base_vec, vecs, gram, cross = _normal_equations(h_hat, basis, psi_full, tau)
+    h_variance, gram, cross = _normal_equations(h_hat, basis, psi_full, tau)
     scale = max(float(np.abs(gram).max()), 1.0)
     coeff = np.zeros(len(cross))
     for _ in range(steps):
         coeff = coeff - learning_rate * (gram @ coeff + cross) / scale
     return VariationalSolution(
         coeff,
-        _bound_at(coeff, phi, base_vec, vecs),
+        _bound_at(coeff, h_variance, gram, cross),
         float("nan"),
         int(np.linalg.matrix_rank(gram, rtol=GRAM_CUTOFF, hermitian=True)),
         float(np.linalg.norm(gram @ coeff + cross)),
@@ -321,6 +321,95 @@ def test_solver_reports_rank_and_residual(n, gamma, input_state, basis_kind, ran
     assert 0.0 <= sol.residual < 1e-12
 
 
+def stack_reference(state, base_vec, vecs):
+    """Reference quadratic from an explicit k x 2^n stack V of applied
+    vectors: G = Re V V^dag - m m^T, the cross covariances with the
+    generator's vector ``base_vec``, and the bound
+    4 Var(H_hat + sum_k c_k h_k) from the combined vector."""
+    means = (vecs.conj() @ state).real
+    base_mean = float(np.vdot(state, base_vec).real)
+    gram = (vecs.conj() @ vecs.T).real - np.outer(means, means)
+    cross = (vecs.conj() @ base_vec).real - base_mean * means
+
+    def bound(coeff):
+        combined = base_vec + coeff @ vecs
+        mean = float(np.vdot(state, combined).real)
+        return 4.0 * (float(np.vdot(combined, combined).real) - mean**2)
+
+    return gram, cross, bound
+
+
+def assert_solver_matches_reference(h_hat, basis, psi, tau, reference, rng):
+    """The solver's G, b and bound equal the reference to 1e-12, at random
+    coefficients and at its own, and its G is exactly symmetric."""
+    gram, cross, bound = reference
+    got_variance, got_gram, got_cross = _normal_equations(h_hat, basis, psi, tau)
+    assert np.array_equal(got_gram, got_gram.T)
+    np.testing.assert_allclose(got_gram, gram, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(got_cross, cross, rtol=0, atol=1e-12)
+    no_shift = bound(np.zeros_like(cross))
+    assert 4.0 * got_variance == pytest.approx(no_shift, rel=0, abs=1e-12)
+    coeff = rng.normal(size=len(basis.elements))
+    assert _bound_at(coeff, got_variance, got_gram, got_cross) == pytest.approx(
+        bound(coeff), rel=0, abs=1e-12
+    )
+    sol = minimize_qfi_bound(h_hat, basis, psi, tau)
+    assert sol.qfi == pytest.approx(bound(sol.coefficients), rel=0, abs=1e-12)
+
+
+def _interleaved_generator():
+    """Two dephasing-coupled pairs on (S, E, S, E)."""
+    terms = [(0.45, "ZIII"), (0.55, "IIZI"), (0.6, "ZXII"), (0.35, "IIZX")]
+    return OperatorSum([PauliTerm(c, f) for c, f in terms])
+
+
+@pytest.mark.parametrize(
+    "kind, n, generator_kind",
+    [
+        ("complete", 2, "commuting"),
+        ("complete", 3, "commuting"),
+        ("single_qubit_paulis", 4, "commuting"),
+        ("single_qubit_paulis", 5, "commuting"),
+        ("symmetric", 3, "commuting"),
+        ("symmetric", 5, "commuting"),
+        ("complete", 2, "interleaved"),
+        ("symmetric", 2, "interleaved"),
+        ("complete", 2, "dense"),
+        ("complete", 2, "non-commuting"),
+        ("single_qubit_paulis", 3, "non-commuting"),
+    ],
+)
+def test_normal_equations_match_the_applied_stack(kind, n, generator_kind):
+    """G, b and the bound read off the two reduced environment operators
+    equal the explicit stack build [h_k phi] on phi = U|psi> to 1e-12, on
+    random states of the whole register (environment not in |0...0>)."""
+    rng = np.random.default_rng(7 * n + len(generator_kind))
+    model, h_hat = model_setup(n, 0.9, 1.3)
+    labels = model.labels
+    if generator_kind == "interleaved":
+        labels = (SYSTEM, ENVIRONMENT, SYSTEM, ENVIRONMENT)
+        h_hat = _interleaved_generator()
+    elif generator_kind == "dense":
+        a = rng.normal(size=(4**n, 4**n)) + 1j * rng.normal(size=(4**n, 4**n))
+        h_hat = DenseOperator((a + a.conj().T) / 2)
+    elif generator_kind == "non-commuting":
+        x_terms = tuple(
+            PauliTerm(0.4, "I" * p + "X" + "I" * (2 * n - p - 1)) for p in range(n)
+        )
+        h_hat = OperatorSum(h_hat.terms + x_terms)
+        assert not h_hat.mutually_commuting
+    dim = 2 ** len(labels)
+    psi = StateVector(rng.normal(size=dim) + 1j * rng.normal(size=dim), labels)
+    psi = psi.normalized()
+    basis = getattr(EnvOperatorBasis, kind)(labels)
+    tau = 0.6
+
+    phi = qfi._evolved_state(h_hat, psi, tau)
+    vecs = np.stack([_applied_vector(h, phi) for h in basis.elements])
+    reference = stack_reference(phi, _applied_vector(h_hat, phi), vecs)
+    assert_solver_matches_reference(h_hat, basis, psi, tau, reference, rng)
+
+
 @pytest.mark.parametrize("kind", ["commuting", "non-commuting", "dense"])
 def test_evolved_frame_matches_heisenberg_picture(kind):
     """Gram matrix, cross covariances and bound built on phi = U|psi> with
@@ -350,28 +439,10 @@ def test_evolved_frame_matches_heisenberg_picture(kind):
             for h in basis.elements
         ]
     )
-    base_vec = _applied_vector(h_hat, psi.amplitudes)
-    means = (heisenberg.conj() @ psi.amplitudes).real
-    base_mean = float(np.vdot(psi.amplitudes, base_vec).real)
-    gram = (heisenberg.conj() @ heisenberg.T).real - np.outer(means, means)
-    cross = (heisenberg.conj() @ base_vec).real - base_mean * means
-
-    def bound(coeff):
-        combined = base_vec + coeff @ heisenberg
-        mean = float(np.vdot(psi.amplitudes, combined).real)
-        return 4.0 * (float(np.vdot(combined, combined).real) - mean**2)
-
-    phi, phi_base, vecs, got_gram, got_cross = _normal_equations(
-        h_hat, basis, psi, tau
+    reference = stack_reference(
+        psi.amplitudes, _applied_vector(h_hat, psi.amplitudes), heisenberg
     )
-    np.testing.assert_allclose(got_gram, gram, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(got_cross, cross, rtol=0, atol=1e-12)
-    coeff = rng.normal(size=len(basis.elements))
-    assert _bound_at(coeff, phi, phi_base, vecs) == pytest.approx(
-        bound(coeff), rel=0, abs=1e-12
-    )
-    sol = minimize_qfi_bound(h_hat, basis, psi, tau)
-    assert sol.qfi == pytest.approx(bound(sol.coefficients), rel=0, abs=1e-12)
+    assert_solver_matches_reference(h_hat, basis, psi, tau, reference, rng)
 
 
 @pytest.mark.parametrize(
@@ -386,15 +457,20 @@ def test_evolved_frame_matches_heisenberg_picture(kind):
     ],
 )
 def test_basis_stack_matches_element_by_element(kind, n):
-    """The basis applied as one stack (one gather up to 8 qubits, the flip
-    kernel above) equals each element applied on its own, in element order,
-    to the last bit; the symmetric elements are sums of several strings."""
+    """Each basis element applied as one sum (one gather up to 8 qubits,
+    the flip kernel above) equals its terms applied one by one and added in
+    term order, to the last bit; the symmetric elements are sums of several
+    strings."""
     model, _ = model_setup(n, 1.0, 1.0)
     basis = getattr(EnvOperatorBasis, kind)(model.labels)
     rng = np.random.default_rng(n)
     phi = rng.normal(size=4**n) + 1j * rng.normal(size=4**n)
-    expected = np.stack([_applied_vector(h, phi) for h in basis.elements])
-    assert np.array_equal(basis._stack.apply(phi), expected)
+    for h in basis.elements:
+        first, *rest = h.terms
+        expected = _applied_vector(first, phi)
+        for t in rest:
+            expected = expected + _applied_vector(t, phi)
+        assert np.array_equal(h._stack.apply(phi), expected)
 
 
 def test_solver_leaves_the_flip_kernel_to_large_registers(monkeypatch):
@@ -441,7 +517,7 @@ def test_solver_equals_hermitian_svd_pseudo_inverse(kind, n, input_state):
     model, h_hat = model_setup(n, 1.0, 0.9)
     basis = getattr(EnvOperatorBasis, kind)(model.labels)
     psi = input_state(n)
-    _, _, _, gram, cross = _normal_equations(h_hat, basis, psi, 0.5)
+    _, gram, cross = _normal_equations(h_hat, basis, psi, 0.5)
     u, s, vt = np.linalg.svd(gram, hermitian=True)
     kept = s > GRAM_CUTOFF * s[0]
     inv = np.where(kept, 1.0 / np.where(kept, s, 1.0), 0.0)
@@ -470,6 +546,15 @@ def test_minimize_rejects_non_hermitian_commuting_generator():
     basis = EnvOperatorBasis.single_qubit_paulis((SYSTEM, ENVIRONMENT))
     with pytest.raises(HermiticityError):
         minimize_qfi_bound(h_hat, basis, product_input(1), 0.5)
+
+
+def test_conjugation_rejects_non_hermitian_commuting_generator():
+    """0.5i ZI + 0.5 ZX commutes term by term; the rotation path kept only
+    the real parts of its coefficients and returned 0.878 IY - 0.479 ZZ."""
+    h_hat = OperatorSum([PauliTerm(0.5j, "ZI"), PauliTerm(0.5, "ZX")])
+    assert h_hat.mutually_commuting and not h_hat.hermitian
+    with pytest.raises(HermiticityError):
+        conjugate_env_operator(OperatorSum.from_term(1.0, "IY"), h_hat, 0.5)
 
 
 def test_minimize_rejects_basis_for_another_register_order():
@@ -774,6 +859,24 @@ def test_oracle_memory_on_a_pure_input_at_eight_pairs():
     finally:
         tracemalloc.stop()
     assert peak <= 6 * column
+
+
+def test_solver_memory_on_the_per_qubit_basis_at_eight_pairs():
+    """A per-qubit solve at N = 8 (24 elements on 2^16 amplitudes), product
+    table included, stays within 8 vectors of the register: it forms no
+    k x 2^n stack of applied vectors, which alone took 24."""
+    model, h_hat = model_setup(8, 1.0, 0.9)
+    basis = EnvOperatorBasis.single_qubit_paulis(model.labels)
+    psi = ghz_input(8)
+    vector = 16 * 4**8
+    tracemalloc.start()
+    try:
+        sol = minimize_qfi_bound(h_hat, basis, psi, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sol.qfi == pytest.approx(qfi_ghz(AnalyticParams(8, 1.0, 0.9, 0.5)), rel=1e-9)
+    assert peak <= 8 * vector
 
 
 def test_oracle_dense_cap():
