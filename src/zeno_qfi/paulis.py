@@ -25,6 +25,13 @@ qubits it takes 0.5x the flip kernel's time, at 12 the same, and at 14 and
 Another host measured 0.85x at 10 qubits and 1.9-2.5x at 12-16, so the
 limit sits at 8, where the gain is large on both.  Rotations
 exp(-i theta P / 2) always use the flip kernel.
+
+A sum whose terms carry one letter per qubit (qubit-wise commuting, as
+every generator the library builds is) also has an eigenframe,
+``OperatorSum._frame``: a local Clifford, H on its X qubits and H S^dag on
+its Y qubits, makes it diagonal, so its exponential and its action become
+elementwise products there.  The variational solver evolves through it
+and calls neither kernel.
 """
 
 from __future__ import annotations
@@ -71,6 +78,16 @@ GATHER_MAX_QUBITS = 8
 _GATHER_BLOCK = 2**16
 _X_BITS = str.maketrans("IXYZ", "0110")
 _Z_BITS = str.maketrans("IXYZ", "0011")
+_SUPPORT_BITS = str.maketrans("IXYZ", "0111")
+# The one-qubit Clifford that turns a qubit's letter into Z:
+# H X H = Z and (H S^dag) Y (H S^dag)^dag = Z.
+_TO_Z = {
+    "X": np.array([[1, 1], [1, -1]], dtype=np.complex128) / np.sqrt(2),
+    "Y": np.array([[1, -1j], [1, 1j]], dtype=np.complex128) / np.sqrt(2),
+}
+# A frame's Clifford is applied in Kronecker factors of at most this many
+# qubits: one 16 x 16 matmul over the register per factor.
+_FRAME_WINDOW = 4
 
 
 @dataclass(frozen=True)
@@ -174,6 +191,11 @@ class OperatorSum:
     @cached_property
     def _stack(self) -> "_StringStack":
         return _StringStack(self)
+
+    @cached_property
+    def _frame(self) -> "_Eigenframe | None":
+        """The sum's eigenframe when it is qubit-wise commuting, else None."""
+        return _qubitwise_frame(self)
 
     def __repr__(self):
         body = " + ".join(f"({t.coefficient:g})*{t.factors}" for t in self._terms)
@@ -283,6 +305,106 @@ class _StringStack:
         else:
             np.add.reduce(_gather(*self._masks, amplitudes), axis=0, out=out)
         return out
+
+
+@dataclass(frozen=True, eq=False)
+class _Eigenframe:
+    """A qubit-wise commuting Pauli sum in the basis that diagonalises it.
+
+    Every term carries the same letter on a qubit, ``letters[q]`` ("I"
+    where no term acts).  The local Clifford C, H on the X qubits and
+    H S^dag on the Y qubits, turns each term into a Z string, so C H C^dag
+    is diagonal, with eigenvalues
+    lambda[j] = sum_k c_k (-1)^{popcount(j & supp_k)} over the real parts
+    of the coefficients.  ``windows`` hold C as (first qubit, Kronecker
+    factor) pairs over runs of at most ``_FRAME_WINDOW`` qubits.
+    ``components`` split lambda by connected sets of qubits (terms that
+    share a qubit are connected), each shaped to broadcast over the
+    register's (2,)*n axes: lambda is their Kronecker sum and
+    exp(-i tau lambda) the Kronecker product of their exponentials.
+    """
+
+    letters: str
+    windows: tuple[tuple[int, np.ndarray], ...]
+    components: tuple[np.ndarray, ...]
+
+    def apply(self, amplitudes: np.ndarray) -> np.ndarray:
+        """C H C^dag applied to amplitudes given in the frame: lambda times
+        them, with lambda summed from its components on each call, so that
+        no 2^n array outlives the call."""
+        tensor = amplitudes.reshape((2,) * len(self.letters))
+        return (tensor * reduce(np.add, self.components)).reshape(-1)
+
+    def evolved(self, amplitudes: np.ndarray, tau: float) -> np.ndarray:
+        """C exp(-i tau H)|psi> = exp(-i tau lambda) * C|psi>, a new array:
+        C as one matmul per window, the phase as the Kronecker product of
+        the components' exponentials."""
+        out = amplitudes
+        for lo, factor in self.windows:
+            rows = out.reshape(2**lo, len(factor), -1)
+            if rows.shape[2] == 1:
+                out = rows[:, :, 0] @ factor.T
+            else:
+                out = np.matmul(factor, rows)
+        if out is amplitudes:
+            out = amplitudes.copy()
+        phase = reduce(
+            np.multiply, (np.exp(-1j * tau * lam) for lam in self.components)
+        )
+        tensor = out.reshape((2,) * len(self.letters))
+        tensor *= phase
+        return tensor.reshape(-1)
+
+
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron of two square matrices by one broadcast product, without
+    its per-call overhead."""
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(len(a) * len(b), -1)
+
+
+def _qubitwise_frame(op: OperatorSum) -> _Eigenframe | None:
+    """The eigenframe of a sum whose terms carry one letter per qubit, or
+    None when two terms carry different letters on a qubit."""
+    n, strings = op.n_qubits, [t.factors for t in op.terms]
+    letters = []
+    for column in zip("I" * n, *strings):
+        used = set(column) - {"I"}
+        if len(used) > 1:
+            return None
+        letters.append(used.pop() if used else "I")
+    letters = "".join(letters)
+    windows, q = [], 0
+    while q < n:
+        if letters[q] in _TO_Z:
+            run = letters[q : q + _FRAME_WINDOW]
+            gates = (_TO_Z.get(ch, PAULI_MATRICES["I"]) for ch in run)
+            windows.append((q, reduce(_kron, gates)))
+            q += len(run)
+        else:
+            q += 1
+    # Terms with overlapping supports share a component, keyed by the
+    # union of their support masks.
+    groups: dict[int, list[PauliTerm]] = {}
+    for t in op.terms:
+        mask, members = int(t.factors.translate(_SUPPORT_BITS), 2), [t]
+        for other in [m for m in groups if m & mask]:
+            mask |= other
+            members += groups.pop(other)
+        groups[mask] = members
+    # A component's lambda sums, over its terms, the coefficient times
+    # (1, -1) along each axis of the term's support, multiplied out.
+    sign = np.array([1.0, -1.0])
+    signs = [sign.reshape((1,) * q + (2,) + (1,) * (n - q - 1)) for q in range(n)]
+    components = []
+    for members in groups.values():
+        lam = 0.0
+        for t in members:
+            support = (signs[q] for q, ch in enumerate(t.factors) if ch != "I")
+            lam = lam + reduce(np.multiply, support, t.coefficient.real)
+        components.append(lam)
+    # A sum with no terms is the zero operator.
+    components = components or [np.zeros((1,) * n)]
+    return _Eigenframe(letters, tuple(windows), tuple(components))
 
 
 def _applied_vector(op, amplitudes: np.ndarray) -> np.ndarray:

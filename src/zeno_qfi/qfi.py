@@ -12,16 +12,21 @@ expressions for the dephasing-coupling model as independent checks.
 The quadratic is built in the evolved frame: U'(tau) = exp(-i H_hat tau)
 commutes with H_hat, so every covariance of H_hat and h'_k on the initial
 state equals the one of H_hat and the plain h_k on phi = U'(tau)|psi>.  The
-state is evolved once (one Pauli rotation per term when the terms of H_hat
-commute, one dense exponential otherwise) and no basis element is
-conjugated; ``conjugate_env_operator`` is the Heisenberg-picture form of
-the same quantity, which tests compare against.  No basis element is
-applied either: the h_k act on the environment alone, so the quadratic
-depends on phi only through the two d_E x d_E matrices Tr_S |phi><phi| and
-Tr_S(H_hat |phi><phi|), from which a table of the products of two basis
-strings, built once per basis, reads every entry by one gather.  That costs
-O(d_S d_E^2 + U d_E) time for U distinct products and d_E^2 memory, where
-applying the k elements cost O(k^2 d_S d_E) time and k 2^n memory.
+state is evolved once and no basis element is conjugated;
+``conjugate_env_operator`` is the Heisenberg-picture form of the same
+quantity, which tests compare against.  A generator whose terms carry one
+Pauli letter per qubit, as every generator the library builds does, is
+diagonal after a local Clifford C, so phi and H_hat phi are taken in that
+eigenframe as elementwise products; any other commuting sum is evolved by
+one Pauli rotation per term, and a non-commuting one by a dense
+exponential.  No basis element is applied either: the h_k act on the
+environment alone, so the quadratic depends on phi only through the two
+d_E x d_E matrices Tr_S |phi><phi| and Tr_S(H_hat |phi><phi|), from which a
+table of the products of two basis strings, built once per basis and
+frame with the strings conjugated by C, reads every entry by one gather.
+That costs O(d_S d_E^2 + U d_E) time for U distinct products and d_E^2
+memory, where applying the k elements cost O(k^2 d_S d_E) time and k 2^n
+memory.
 
 The closed forms ``qfi_ghz``, ``qfi_ghz_large_n`` and
 ``optimal_env_coefficients`` are minima over the symmetric (equivalently,
@@ -103,6 +108,28 @@ class _EnvProducts:
     owner: np.ndarray | None
 
 
+# C q C^dag for a one-qubit Pauli q under the frame's Clifford C, by the
+# frame letter on that qubit: H swaps X and Z and negates Y, and H S^dag
+# takes X to Y, Y to Z and Z to X.
+_CONJUGATED = {"X": str.maketrans("XZ", "ZX"), "Y": str.maketrans("XYZ", "YZX")}
+
+
+def _in_frame(strings: list[str], letters: str) -> tuple[list[int], list[str]]:
+    """Signs and strings of C q C^dag for the Pauli strings q, where C is
+    the local Clifford of the frame letters ``letters`` ("" for the
+    identity), worked column by column."""
+    if not letters:
+        return [1] * len(strings), strings
+    columns = ["".join(column) for column in zip(*strings)]
+    conjugated = (
+        c.translate(_CONJUGATED[f]) if f in _CONJUGATED else c
+        for c, f in zip(columns, letters)
+    )
+    negated = [c for c, f in zip(columns, letters) if f == "X"]
+    signs = [(-1) ** "".join(q).count("Y") for q in zip(*negated)]
+    return signs or [1] * len(strings), ["".join(q) for q in zip(*conjugated)]
+
+
 def _traces(r: np.ndarray, index: np.ndarray, weight: np.ndarray) -> np.ndarray:
     """sum_e weight[k, e] r.flat[index[k, e]] for every row k."""
     return np.einsum("ke,ke->k", r.ravel()[index], weight)
@@ -135,14 +162,25 @@ class EnvOperatorBasis:
         object.__setattr__(self, "labels", labels)
 
     @cached_property
-    def _products(self) -> _EnvProducts:
+    def _tables(self) -> dict[str, _EnvProducts]:
+        return {}
+
+    def _products(self, letters: str) -> _EnvProducts:
         """Gather table of the basis strings and of every product of two,
-        on the environment bits (see ``_EnvProducts``)."""
+        on the environment bits (see ``_EnvProducts``), each string
+        conjugated by the local Clifford of a generator's eigenframe whose
+        environment letters are ``letters`` ("" for none).  Built once
+        per basis and set of letters."""
+        table = self._tables.get(letters)
+        if table is not None:
+            return table
         env = [p for p, l in enumerate(self.labels) if l is ENVIRONMENT]
         terms = [t for op in self.elements for t in op.terms]
+        signs, strings = _in_frame(
+            ["".join(t.factors[p] for p in env) for t in terms], letters
+        )
         x, z, coef = _string_masks(
-            ["".join(t.factors[p] for p in env) for t in terms],
-            [t.coefficient for t in terms],
+            strings, [sign * t.coefficient for sign, t in zip(signs, terms)]
         )
         d_env, n_terms = 2 ** len(env), len(terms)
         # q_t q_u = coef_t coef_u (-1)^{popcount(x_t & z_u)} times the string
@@ -159,7 +197,7 @@ class EnvOperatorBasis:
         owner = None
         if any(c != 1 for c in counts):
             owner = np.repeat(np.eye(len(counts)), counts, axis=1)
-        return _EnvProducts(
+        table = self._tables[letters] = _EnvProducts(
             index[term],
             sign[term] * coef[:, None],
             index,
@@ -168,6 +206,7 @@ class EnvOperatorBasis:
             pair_coef,
             owner,
         )
+        return table
 
     @classmethod
     def single_qubit_paulis(cls, labels) -> "EnvOperatorBasis":
@@ -323,23 +362,43 @@ def conjugate_env_operator(h_env: OperatorSum, h_hat, tau: float):
     return DenseOperator(u.matrix.conj().T @ h_mat @ u.matrix)
 
 
-def _evolved_state(h_hat, psi_full: StateVector, tau) -> np.ndarray:
-    """Amplitudes of exp(-i H_hat tau)|psi>: one Pauli rotation per term
-    with theta = 2 c tau when the terms commute, as in
-    ``conjugate_env_operator``, otherwise one dense exponential.  Either
-    way a generator that is not Hermitian raises ``HermiticityError``."""
+def _evolved_state(h_hat, psi_full: StateVector, tau):
+    """phi = exp(-i H_hat tau)|psi> and H_hat phi, both in the frame C of
+    the returned environment letters, by one of three paths:
+
+    - A Pauli sum whose terms carry one letter per qubit (qubit-wise
+      commuting, as every generator the library builds is) goes through
+      its eigenframe: C is the local Clifford that makes H_hat diagonal,
+      C phi = exp(-i tau lambda) * C psi and C H_hat phi = lambda * C phi,
+      with no Pauli rotation and no string gather.
+    - Any other commuting Pauli sum takes one Pauli rotation per term with
+      theta = 2 c tau, as in ``conjugate_env_operator``, and H_hat is
+      applied term by term; C is the identity, with letters "".
+    - A non-commuting sum or a ``DenseOperator`` takes one dense
+      exponential, C again the identity.
+
+    A generator that is not Hermitian raises ``HermiticityError``.
+    """
     size = h_hat.dim if isinstance(h_hat, DenseOperator) else 2**h_hat.n_qubits
     if size != psi_full.dim:
         raise DimensionMismatchError("generator does not match the state register")
     amps = psi_full.amplitudes
-    if isinstance(h_hat, OperatorSum) and h_hat.mutually_commuting:
-        if not h_hat.hermitian:
+    if isinstance(h_hat, OperatorSum):
+        frame = h_hat._frame
+        if (frame is not None or h_hat.mutually_commuting) and not h_hat.hermitian:
             raise HermiticityError("the generator must be a Hermitian operator sum")
-        for term in h_hat.terms:
-            amps = _rotate(term.factors, 2.0 * term.coefficient.real * tau, amps)
-        return amps
+        if frame is not None:
+            phi = frame.evolved(amps, tau)
+            env = zip(frame.letters, psi_full.labels)
+            letters = "".join(f for f, l in env if l is ENVIRONMENT)
+            return phi, frame.apply(phi), letters
+        if h_hat.mutually_commuting:
+            for term in h_hat.terms:
+                amps = _rotate(term.factors, 2.0 * term.coefficient.real * tau, amps)
+            return amps, _applied_vector(h_hat, amps), ""
     h_dense = h_hat if isinstance(h_hat, DenseOperator) else to_dense(h_hat)
-    return hermitian_expm(h_dense, tau).matrix @ amps
+    phi = hermitian_expm(h_dense, tau).matrix @ amps
+    return phi, _applied_vector(h_hat, phi), ""
 
 
 def _normal_equations(h_hat, basis, psi_full: StateVector, tau):
@@ -350,21 +409,26 @@ def _normal_equations(h_hat, basis, psi_full: StateVector, tau):
     plain h_k on phi = U|psi>.  The h_k act on the environment alone, so
     with phi and H_hat phi as (system x environment) matrices Phi and Psi,
     <h_k h_l> and <h_k H_hat> read off r1 = Phi^dag Phi and
-    r2 = Phi^dag Psi through the basis's product table.  Returns Var H_hat,
+    r2 = Phi^dag Psi through the basis's product table.  Both are taken in
+    the frame C of ``_evolved_state``: C's system part cancels in the
+    partial trace, and the table reads its strings conjugated by C's
+    environment part, so nothing is transformed back.  Returns Var H_hat,
     the Gram matrix of covariances Re<h_k h_l> - <h_k><h_l> (exactly
     symmetric) and the cross covariances with H_hat.
     """
     if basis.labels != psi_full.labels:
         raise DimensionMismatchError("basis register does not match the state register")
-    phi = _evolved_state(h_hat, psi_full, tau)
-    applied = _applied_vector(h_hat, phi)
+    phi, applied, letters = _evolved_state(h_hat, psi_full, tau)
     h_mean = float(np.vdot(phi, applied).real)
     h_variance = float(np.vdot(applied, applied).real) - h_mean**2
     phi_mat = _system_env_split(phi, basis.labels)
     left = phi_mat.conj().T
     r1 = left @ phi_mat
+    # Each 2^n array is dropped once it is used up, which bounds the peak.
+    del phi, phi_mat
     r2 = left @ _system_env_split(applied, basis.labels)
-    t = basis._products
+    del left, applied
+    t = basis._products(letters)
     means = _traces(r1, t.term_index, t.term_weight).real
     cross = _traces(r2, t.term_index, t.term_weight).real
     products = _traces(r1, t.product_index, t.product_sign)
@@ -396,9 +460,10 @@ def minimize_qfi_bound(
     normal equations G c = -b built from symmetrized covariances, taken on
     the evolved state from two reduced environment matrices (see
     ``_normal_equations``); no k x 2^n array of applied vectors is formed.
-    A per-qubit solve at N = 8 (16 qubits, 24 elements) peaks at about
-    6 MiB of ``tracemalloc``, against 27 MiB when every element was applied
-    to the state.  The bound at the returned coefficients is the quadratic
+    A per-qubit solve at N = 8 (16 qubits, 24 elements) peaks at 4.0 MiB of
+    ``tracemalloc`` (4.5 MiB when it also builds the basis's product table),
+    four vectors of the register, against 27 MiB when every element was
+    applied to the state.  The bound at the returned coefficients is the quadratic
     form 4 max(Var H_hat + 2 c.b + c^T G c, 0).  Degenerate Gram matrices
     are handled by a pseudo-inverse: G is symmetric, so its singular values
     are the magnitudes |lambda| of its eigenvalues, and those below 1e-10 of
@@ -548,9 +613,11 @@ def qfi_sld_oracle(evolution: DilatedEvolution, initial, tau: float) -> float:
     drho_S = X + X^dag with X = sum W_kk' dV_k V_k'^dag.  ``generator``
     refuses a rotation list that does not commute.  This path works in the
     Schroedinger picture and is independent of the variational solver,
-    whose oracle it is.  The evolved columns hold (number of columns) x 2^n
-    amplitudes, which must fit in the dense budget; on a pure input at
-    N = 8 the call peaks at about 5 such columns.
+    whose oracle it is: it evolves by the rotation list and never builds
+    the generator's eigenframe, through which the solver evolves.  The
+    evolved columns hold (number of columns) x 2^n amplitudes, which must
+    fit in the dense budget; on a pure input at N = 8 the call peaks at
+    about 5 such columns.
     """
     if not tau > 0:
         raise ValueError("interval must be positive")

@@ -5,8 +5,13 @@ import numpy as np
 import pytest
 
 from zeno_qfi import paulis, qfi
-from zeno_qfi.channels import DilatedEvolution, build_dephasing_model, generator
-from zeno_qfi.dense import DenseOperator
+from zeno_qfi.channels import (
+    DilatedEvolution,
+    build_dephasing_model,
+    generator,
+    kraus_from_dilation,
+)
+from zeno_qfi.dense import DenseOperator, hermitian_expm
 from zeno_qfi.exceptions import (
     DenseCapError,
     DimensionMismatchError,
@@ -357,6 +362,15 @@ def assert_solver_matches_reference(h_hat, basis, psi, tau, reference, rng):
     assert sol.qfi == pytest.approx(bound(sol.coefficients), rel=0, abs=1e-12)
 
 
+def dense_evolution_reference(h_hat, basis, psi, tau):
+    """``stack_reference`` on phi from one dense exponential of H_hat,
+    whichever path the solver takes."""
+    h_dense = h_hat if isinstance(h_hat, DenseOperator) else to_dense(h_hat)
+    phi = hermitian_expm(h_dense, tau).matrix @ psi.amplitudes
+    vecs = np.stack([_applied_vector(h, phi) for h in basis.elements])
+    return stack_reference(phi, _applied_vector(h_hat, phi), vecs)
+
+
 def _interleaved_generator():
     """Two dephasing-coupled pairs on (S, E, S, E)."""
     terms = [(0.45, "ZIII"), (0.55, "IIZI"), (0.6, "ZXII"), (0.35, "IIZX")]
@@ -382,7 +396,9 @@ def _interleaved_generator():
 def test_normal_equations_match_the_applied_stack(kind, n, generator_kind):
     """G, b and the bound read off the two reduced environment operators
     equal the explicit stack build [h_k phi] on phi = U|psi> to 1e-12, on
-    random states of the whole register (environment not in |0...0>)."""
+    random states of the whole register (environment not in |0...0>).  The
+    reference evolves psi by one dense exponential, whatever path the
+    solver takes."""
     rng = np.random.default_rng(7 * n + len(generator_kind))
     model, h_hat = model_setup(n, 0.9, 1.3)
     labels = model.labels
@@ -404,10 +420,123 @@ def test_normal_equations_match_the_applied_stack(kind, n, generator_kind):
     basis = getattr(EnvOperatorBasis, kind)(labels)
     tau = 0.6
 
-    phi = qfi._evolved_state(h_hat, psi, tau)
-    vecs = np.stack([_applied_vector(h, phi) for h in basis.elements])
-    reference = stack_reference(phi, _applied_vector(h_hat, phi), vecs)
+    reference = dense_evolution_reference(h_hat, basis, psi, tau)
     assert_solver_matches_reference(h_hat, basis, psi, tau, reference, rng)
+
+
+def random_qubitwise_generator(rng, labels, coefficient=None):
+    """4 to 7 strings of weight 1 to 3 with random real coefficients (the
+    first one ``coefficient`` when given) over one letter per qubit; the
+    letters are X, Y and Z in random order on the system qubits and again
+    on the environment qubits."""
+    letters = {}
+    for side in (SYSTEM, ENVIRONMENT):
+        qubits = [p for p, l in enumerate(labels) if l is side]
+        letters.update(zip(qubits, rng.permutation(list("XYZ"))))
+    terms = []
+    for k in range(rng.integers(4, 8)):
+        support = rng.choice(len(labels), size=rng.integers(1, 4), replace=False)
+        chosen = (letters[p] if p in support else "I" for p in range(len(labels)))
+        factors = "".join(chosen)
+        c = coefficient if k == 0 and coefficient is not None else rng.normal()
+        terms.append(PauliTerm(c, factors))
+    return OperatorSum(terms)
+
+
+ORDERS = {
+    "block": (SYSTEM,) * 3 + (ENVIRONMENT,) * 3,
+    "interleaved": (SYSTEM, ENVIRONMENT) * 3,
+}
+
+
+@pytest.mark.parametrize("order", ORDERS)
+@pytest.mark.parametrize("seed", range(4))
+def test_eigenframe_matches_the_dense_reference_on_random_generators(seed, order):
+    """Random qubit-wise commuting generators with X, Y and Z letters on
+    system and environment qubits take the eigenframe, and their G, b,
+    Var H_hat and bound equal the stack build on a densely evolved phi to
+    1e-12, on random states of the whole register."""
+    rng = np.random.default_rng(seed)
+    labels = ORDERS[order]
+    h_hat = random_qubitwise_generator(rng, labels)
+    assert h_hat._frame is not None
+    psi = StateVector(rng.normal(size=64) + 1j * rng.normal(size=64), labels)
+    psi = psi.normalized()
+    basis = EnvOperatorBasis.complete(labels)
+    tau = float(rng.uniform(0.2, 1.5))
+    reference = dense_evolution_reference(h_hat, basis, psi, tau)
+    assert_solver_matches_reference(h_hat, basis, psi, tau, reference, rng)
+
+
+def test_commuting_generator_without_an_eigenframe_rotates(monkeypatch):
+    """Z_S Z_E + X_S X_E on each of two pairs commutes but puts two letters
+    on every qubit, so it has no eigenframe: the solver evolves psi by
+    rotations and matches the dense reference."""
+    terms = [(0.7, "ZIZI"), (0.4, "XIXI"), (0.5, "IZIZ"), (0.3, "IXIX")]
+    h_hat = OperatorSum([PauliTerm(c, f) for c, f in terms])
+    assert h_hat.mutually_commuting and h_hat._frame is None
+    rotate, calls = qfi._rotate, []
+    monkeypatch.setattr(qfi, "_rotate", lambda *a: calls.append(a) or rotate(*a))
+    rng = np.random.default_rng(3)
+    labels = (SYSTEM, SYSTEM, ENVIRONMENT, ENVIRONMENT)
+    psi = StateVector(rng.normal(size=16) + 1j * rng.normal(size=16), labels)
+    psi = psi.normalized()
+    basis = EnvOperatorBasis.complete(labels)
+    reference = dense_evolution_reference(h_hat, basis, psi, 0.8)
+    assert_solver_matches_reference(h_hat, basis, psi, 0.8, reference, rng)
+    assert calls
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_eigenframe_refuses_a_non_hermitian_generator(seed):
+    """A qubit-wise commuting sum with one complex coefficient has an
+    eigenframe, and the solver still raises ``HermiticityError``."""
+    rng = np.random.default_rng(seed)
+    labels = ORDERS["block"]
+    h_hat = random_qubitwise_generator(rng, labels, coefficient=0.5 + 0.25j)
+    assert h_hat._frame is not None and not h_hat.hermitian
+    psi = tensor_state(plus_state(3), zero_environment(3))
+    with pytest.raises(HermiticityError):
+        minimize_qfi_bound(h_hat, EnvOperatorBasis.complete(labels), psi, 0.5)
+
+
+def test_oracle_and_kraus_extraction_never_build_an_eigenframe(monkeypatch):
+    """The SLD oracle and the Kraus extraction evolve columns by rotations,
+    so with the frame builder raising they return the same values, while
+    the solver, which uses the frame, fails."""
+    model = build_dephasing_model(2, 0.9, 1.3)
+    oracle = qfi_sld_oracle(model, ghz_state(2), 0.6)
+    kraus = [k.matrix for k in kraus_from_dilation(model, 0.6).operators]
+
+    def no_frame(op):
+        raise AssertionError("eigenframe built")
+
+    monkeypatch.setattr(paulis, "_qubitwise_frame", no_frame)
+    model = build_dephasing_model(2, 0.9, 1.3)
+    assert qfi_sld_oracle(model, ghz_state(2), 0.6) == oracle
+    again = [k.matrix for k in kraus_from_dilation(model, 0.6).operators]
+    assert all(np.array_equal(a, b) for a, b in zip(again, kraus, strict=True))
+    basis = EnvOperatorBasis.single_qubit_paulis(model.labels)
+    with pytest.raises(AssertionError, match="eigenframe built"):
+        minimize_qfi_bound(generator(model), basis, ghz_input(2), 0.6)
+
+
+def test_solves_with_the_same_environment_letters_share_one_table(monkeypatch):
+    """Two solves on one basis with different rates, intervals and inputs,
+    but generators with the same environment letters, build one conjugated
+    product table between them."""
+    gather, calls = qfi._env_gather, []
+    monkeypatch.setattr(qfi, "_env_gather", lambda *a: calls.append(a) or gather(*a))
+    basis = EnvOperatorBasis.single_qubit_paulis(ORDERS["block"])
+    for omega0, gamma, tau, state, closed_form in (
+        (0.9, 1.3, 0.4, ghz_input, qfi_ghz),
+        (1.4, 0.6, 0.9, product_input, qfi_separable),
+    ):
+        _, h_hat = model_setup(3, omega0, gamma)
+        sol = minimize_qfi_bound(h_hat, basis, state(3), tau)
+        expected = closed_form(AnalyticParams(3, omega0, gamma, tau))
+        assert sol.qfi == pytest.approx(expected, rel=1e-9)
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("kind", ["commuting", "non-commuting", "dense"])
@@ -474,31 +603,40 @@ def test_basis_stack_matches_element_by_element(kind, n):
 
 
 def test_solver_leaves_the_flip_kernel_to_large_registers(monkeypatch):
-    """Up to 8 qubits the solver applies H_hat and the basis by the gather,
-    so a raising flip kernel goes unnoticed by a complete-basis solve at
-    N = 4, while a per-qubit solve at N = 5 (10 qubits) reaches it.  The
-    rotations that evolve psi are on the flip kernel by design, so they
-    keep the original one."""
-    flip = paulis._apply_string
+    """A per-qubit solve at N = 5 (10 qubits) evolves psi and applies H_hat
+    in the generator's eigenframe, so it calls no rotation, flip kernel or
+    gather.  A generator on 10 qubits that commutes but carries Z and X on
+    every qubit (Z_S X_E + X_S Z_E per pair) has no eigenframe: its
+    rotations still reach the flip kernel."""
+    rotate = paulis._rotate
 
-    def rotate(factors, theta, amplitudes):
-        out = flip(factors, amplitudes, -1j * np.sin(theta / 2.0))
-        out += np.cos(theta / 2.0) * amplitudes
-        return out
+    def forbidden(name):
+        def call(*args, **kwargs):
+            raise AssertionError(f"{name} called")
 
-    def no_flip(*args, **kwargs):
-        raise AssertionError("flip kernel called")
+        return call
 
-    monkeypatch.setattr(qfi, "_rotate", rotate)
-    monkeypatch.setattr(paulis, "_apply_string", no_flip)
-    model, h_hat = model_setup(4, 1.0, 1.0)
-    basis = EnvOperatorBasis.complete(model.labels)
-    sol = minimize_qfi_bound(h_hat, basis, ghz_input(4), 0.5)
-    assert sol.qfi == pytest.approx(true_ghz_qfi(4, 1.0, 1.0, 0.5), rel=1e-9)
+    for module, name in (
+        (qfi, "_rotate"),
+        (paulis, "_rotate"),
+        (paulis, "_apply_string"),
+        (paulis, "_gather"),
+    ):
+        monkeypatch.setattr(module, name, forbidden(name))
     model, h_hat = model_setup(5, 1.0, 1.0)
     basis = EnvOperatorBasis.single_qubit_paulis(model.labels)
-    with pytest.raises(AssertionError, match="flip kernel called"):
-        minimize_qfi_bound(h_hat, basis, ghz_input(5), 0.5)
+    sol = minimize_qfi_bound(h_hat, basis, ghz_input(5), 0.5)
+    assert sol.qfi == pytest.approx(qfi_ghz(AnalyticParams(5, 1.0, 1.0, 0.5)), rel=1e-9)
+    swapped = [
+        PauliTerm(c, "I" * i + a + "I" * 4 + b + "I" * (4 - i))
+        for i in range(5)
+        for c, a, b in ((0.5, "Z", "X"), (0.3, "X", "Z"))
+    ]
+    h_swapped = OperatorSum(swapped)
+    assert h_swapped.mutually_commuting and h_swapped._frame is None
+    monkeypatch.setattr(qfi, "_rotate", rotate)
+    with pytest.raises(AssertionError, match="_apply_string called"):
+        minimize_qfi_bound(h_swapped, basis, ghz_input(5), 0.5)
 
 
 @pytest.mark.parametrize(
