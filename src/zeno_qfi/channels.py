@@ -9,6 +9,7 @@ exp(-i rate t P / 2), which scales to large registers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import isfinite
 
 import numpy as np
 
@@ -113,8 +114,15 @@ def build_dephasing_model(n: int, omega0: float, gamma: float) -> DilatedEvoluti
     return DilatedEvolution((SYSTEM,) * n + (ENVIRONMENT,) * n, rotations)
 
 
+def _check_time(t: float) -> None:
+    """Any real time is an evolution time; an infinite or NaN one raises."""
+    if not isfinite(t):
+        raise ValueError(f"evolution time must be finite, got {t}")
+
+
 def evolve(u: DilatedEvolution, state: StateVector, t: float) -> StateVector:
     """Apply U(t) to a state; norm is preserved to rounding."""
+    _check_time(t)
     if u.labels != state.labels:
         raise DimensionMismatchError("evolution register does not match the state")
     return StateVector(_evolved_amplitudes(u, state.amplitudes, t), state.labels)
@@ -155,6 +163,7 @@ def kraus_from_dilation(u: DilatedEvolution, t: float) -> KrausSet:
     system basis state, so d_S x 2^n amplitudes must fit in the dense
     budget.
     """
+    _check_time(t)
     d_sys = 2 ** u.labels.count(SYSTEM)
     # stacked[s, s', l] = <s', l| U |s, 0>
     stacked = _system_env_split(_evolved_columns(u, np.eye(d_sys), t), u.labels)

@@ -1,37 +1,19 @@
 """Pauli-string operators and their action on state vectors.
 
-A Pauli string is applied to a state vector in one of two ways, chosen by
-register size; both give the same result to the last bit (up to the sign
-of a zero):
-
-- On registers of at most ``GATHER_MAX_QUBITS`` = 8 qubits, every term of
-  a sum is applied in one gather.  A string is two bit masks, x (the
-  qubits under X or Y) and z (those under Z or Y), and its coefficient
-  absorbs (-i)^{n_Y}; then
-  out[k, j] = coef_k (-1)^{popcount(j & z_k)} amps[j ^ x_k]
-  for every string k at once, in a handful of numpy calls.
-- On larger registers each string runs through the flip kernel
-  ``_apply_string``: seen as a (2,)*n tensor, the state's axes under X and
-  Y are reversed, one half of each axis under Z or Y is negated, and the
-  whole is scaled by i^{n_Y}.  It costs O(2^n) per string with no index
-  array, and carries registers past the dense cap.
-
-On the strings the model applies (one or two non-identity factors), one
-BLAS thread, best of 9, on a 2-core Xeon: the gather takes 1.3, 1.5 and
-2.9 us per string at 4, 6 and 8 qubits against 9.1, 7.1 and 12.6 us for
-the flip kernel, whose per-call overhead dominates small registers.  At 10
-qubits it takes 0.5x the flip kernel's time, at 12 the same, and at 14 and
-16 qubits 1.5x and 1.4x, as its index and parity arrays outgrow the cache.
-Another host measured 0.85x at 10 qubits and 1.9-2.5x at 12-16, so the
-limit sits at 8, where the gain is large on both.  Rotations
-exp(-i theta P / 2) always use the flip kernel.
+Every Pauli string reaches a state vector through one flip kernel,
+``_apply_string``: seen as a (2,)*n tensor, the state's axes under X and Y
+are reversed, one half of each axis under Z or Y is negated, and the whole
+is scaled by i^{n_Y}.  It costs O(2^n) per string with no index array, and
+carries registers past the dense cap.  A sum is applied string by string,
+each added in term order, and a rotation exp(-i theta P / 2) is
+cos(theta/2) - i sin(theta/2) times the kernel's P.
 
 A sum whose terms carry one letter per qubit (qubit-wise commuting, as
 every generator the library builds is) also has an eigenframe,
 ``OperatorSum._frame``: a local Clifford, H on its X qubits and H S^dag on
 its Y qubits, makes it diagonal, so its exponential and its action become
 elementwise products there.  The variational solver evolves through it
-and calls neither kernel.
+and calls no Pauli-string kernel.
 """
 
 from __future__ import annotations
@@ -69,15 +51,6 @@ HERMITICITY_TOL = 1e-12
 COEFF_PRUNE_TOL = 1e-15
 IMAG_RESIDUE_TOL = 1e-10
 
-# Registers of at most this many qubits apply Pauli strings by one gather,
-# larger ones by the flip kernel: the gather's gain shrinks from 4-7x at
-# 4-8 qubits to nothing by 12 (measurements in the module docstring).
-GATHER_MAX_QUBITS = 8
-# A gather works in row blocks of at most this many entries, so its index
-# and parity temporaries stay bounded for any number of strings.
-_GATHER_BLOCK = 2**16
-_X_BITS = str.maketrans("IXYZ", "0110")
-_Z_BITS = str.maketrans("IXYZ", "0011")
 _SUPPORT_BITS = str.maketrans("IXYZ", "0111")
 # The one-qubit Clifford that turns a qubit's letter into Z:
 # H X H = Z and (H S^dag) Y (H S^dag)^dag = Z.
@@ -189,10 +162,6 @@ class OperatorSum:
         return all(paulis_commute(a.factors, b.factors) for a, b in pairs)
 
     @cached_property
-    def _stack(self) -> "_StringStack":
-        return _StringStack(self)
-
-    @cached_property
     def _frame(self) -> "_Eigenframe | None":
         """The sum's eigenframe when it is qubit-wise commuting, else None."""
         return _qubitwise_frame(self)
@@ -235,76 +204,6 @@ def _rotate(factors: str, theta: float, amplitudes: np.ndarray) -> np.ndarray:
     out = _apply_string(factors, amplitudes, -1j * np.sin(theta / 2.0))
     out += np.cos(theta / 2.0) * amplitudes
     return out
-
-
-def _gather(x, z, coef, amplitudes: np.ndarray, out=None) -> np.ndarray:
-    """Row k is coef[k] (-1)^{popcount(j & z[k])} amplitudes[j ^ x[k]] over
-    the basis indices j: every string of the masks applied at once."""
-    dim = amplitudes.size
-    if out is None:
-        out = np.empty((len(x), dim), dtype=np.complex128)
-    j = np.arange(dim)
-    step = max(1, _GATHER_BLOCK // dim)
-    for lo in range(0, len(x), step):
-        rows = slice(lo, lo + step)
-        # Every index is in range; mode="wrap" spares take a buffered copy.
-        np.take(amplitudes, j ^ x[rows, None], out=out[rows], mode="wrap")
-        odd = (np.bitwise_count(j & z[rows, None]) & 1).view(bool)
-        out[rows] *= np.where(odd, -coef[rows, None], coef[rows, None])
-    return out
-
-
-def _string_masks(factors, coefficients):
-    """(x, z, coef) of Pauli strings for ``_gather``: the bit masks of the
-    qubits under X or Y and of those under Z or Y (qubit 0 on the highest
-    bit), and the coefficients times (-i)^{n_Y}.  An empty string has
-    masks 0."""
-    x = [int(f.translate(_X_BITS) or "0", 2) for f in factors]
-    z = [int(f.translate(_Z_BITS) or "0", 2) for f in factors]
-    coef = [c * (-1j) ** f.count("Y") for f, c in zip(factors, coefficients)]
-    return (
-        np.array(x, dtype=np.intp),
-        np.array(z, dtype=np.intp),
-        np.array(coef, dtype=np.complex128),
-    )
-
-
-class _StringStack:
-    """One Pauli sum applied to a vector, its terms stacked as rows.
-
-    On registers of at most ``GATHER_MAX_QUBITS`` qubits every term goes
-    through one gather and the rows are added in term order.  On larger
-    registers the flip kernel runs term by term, the first term written
-    into the output and each later one added to it.  Either way the result
-    equals the term-by-term sum.
-    """
-
-    def __init__(self, op: OperatorSum):
-        self.terms = op.terms
-
-    @cached_property
-    def _masks(self):
-        return _string_masks(
-            [t.factors for t in self.terms], [t.coefficient for t in self.terms]
-        )
-
-    def apply(self, amplitudes: np.ndarray, out=None) -> np.ndarray:
-        """The sum applied to the amplitudes, written into ``out`` when
-        given."""
-        if out is None:
-            out = np.empty(amplitudes.size, dtype=np.complex128)
-        if not self.terms:
-            out[:] = 0.0
-        elif amplitudes.size > 2**GATHER_MAX_QUBITS:
-            first, *rest = self.terms
-            _apply_string(first.factors, amplitudes, first.coefficient, out=out)
-            for t in rest:
-                out += _apply_string(t.factors, amplitudes, t.coefficient)
-        elif len(self.terms) == 1:
-            _gather(*self._masks, amplitudes, out[None])
-        else:
-            np.add.reduce(_gather(*self._masks, amplitudes), axis=0, out=out)
-        return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -407,20 +306,31 @@ def _qubitwise_frame(op: OperatorSum) -> _Eigenframe | None:
     return _Eigenframe(letters, tuple(windows), tuple(components))
 
 
-def _applied_vector(op, amplitudes: np.ndarray) -> np.ndarray:
+def _applied_vector(op, amplitudes: np.ndarray, out=None) -> np.ndarray:
     """Amplitudes of O|psi> for a PauliTerm, an OperatorSum or a
-    DenseOperator, summed term by term for a Pauli sum."""
+    DenseOperator, written into ``out`` when given.  A Pauli sum runs
+    through the flip kernel: its first term is written into the output and
+    each later one added to it in term order."""
     if isinstance(op, DenseOperator):
         if op.dim != amplitudes.size:
             raise DimensionMismatchError("dense operator does not match state size")
-        return op.matrix @ amplitudes
+        return np.matmul(op.matrix, amplitudes, out=out)
     if isinstance(op, PauliTerm):
         op = OperatorSum((op,))
     if 2**op.n_qubits != amplitudes.size:
         raise DimensionMismatchError(
             f"operator on {op.n_qubits} qubits applied to {amplitudes.size} amplitudes"
         )
-    return op._stack.apply(amplitudes)
+    if out is None:
+        out = np.empty(amplitudes.size, dtype=np.complex128)
+    if not op.terms:
+        out[:] = 0.0
+        return out
+    first, *rest = op.terms
+    _apply_string(first.factors, amplitudes, first.coefficient, out=out)
+    for t in rest:
+        out += _apply_string(t.factors, amplitudes, t.coefficient)
+    return out
 
 
 def apply_operator(op, state: StateVector) -> StateVector:

@@ -50,7 +50,6 @@ from .paulis import (
     PauliTerm,
     _applied_vector,
     _rotate,
-    _string_masks,
     pauli_product,
     paulis_commute,
     to_dense,
@@ -68,11 +67,29 @@ POLE_TOL = 1e-8
 GRAM_CUTOFF = 1e-10
 SLD_EIGENVALUE_FLOOR = 1e-10
 DENSITY_TOL = 1e-10
+_X_BITS = str.maketrans("IXYZ", "0110")
+_Z_BITS = str.maketrans("IXYZ", "0011")
 
 
 def _odd(bits: np.ndarray) -> np.ndarray:
     """Whether each entry has an odd number of set bits."""
     return (np.bitwise_count(bits) & 1).astype(bool)
+
+
+def _string_masks(factors, coefficients):
+    """(x, z, coef) of Pauli strings for ``_env_gather``: the bit masks of
+    the qubits under X or Y and of those under Z or Y (qubit 0 on the
+    highest bit), and the coefficients times (-i)^{n_Y}, so that a string
+    is coef (-1)^{popcount(e & z)} on the element (e, e ^ x).  An empty
+    string has masks 0."""
+    x = [int(f.translate(_X_BITS) or "0", 2) for f in factors]
+    z = [int(f.translate(_Z_BITS) or "0", 2) for f in factors]
+    coef = [c * (-1j) ** f.count("Y") for f, c in zip(factors, coefficients)]
+    return (
+        np.array(x, dtype=np.intp),
+        np.array(z, dtype=np.intp),
+        np.array(coef, dtype=np.complex128),
+    )
 
 
 def _env_gather(x, z, d_env: int):
@@ -370,7 +387,7 @@ def _evolved_state(h_hat, psi_full: StateVector, tau):
       commuting, as every generator the library builds is) goes through
       its eigenframe: C is the local Clifford that makes H_hat diagonal,
       C phi = exp(-i tau lambda) * C psi and C H_hat phi = lambda * C phi,
-      with no Pauli rotation and no string gather.
+      with no Pauli rotation and no Pauli-string kernel.
     - Any other commuting Pauli sum takes one Pauli rotation per term with
       theta = 2 c tau, as in ``conjugate_env_operator``, and H_hat is
       applied term by term; C is the identity, with letters "".
@@ -472,6 +489,8 @@ def minimize_qfi_bound(
     whose labels differ from the state's raises ``DimensionMismatchError``:
     its "environment" operators would act on system qubits.
     """
+    if not isfinite(tau):
+        raise ValueError(f"interval must be finite, got {tau}")
     h_variance, gram, cross = _normal_equations(h_hat, basis, psi_full, tau)
     lam, u = np.linalg.eigh(gram)
     # Eigenpairs by decreasing |lambda|, with u C-ordered: the order and
@@ -619,8 +638,8 @@ def qfi_sld_oracle(evolution: DilatedEvolution, initial, tau: float) -> float:
     fit in the dense budget; on a pure input at N = 8 the call peaks at
     about 5 such columns.
     """
-    if not tau > 0:
-        raise ValueError("interval must be positive")
+    if not (tau > 0 and isfinite(tau)):
+        raise ValueError(f"interval must be positive and finite, got {tau}")
     columns, weights = _density_from_initial(initial)
     if columns.shape[0] != 2 ** evolution.labels.count(SYSTEM):
         raise DimensionMismatchError("initial state does not match the system register")
@@ -630,7 +649,7 @@ def qfi_sld_oracle(evolution: DilatedEvolution, initial, tau: float) -> float:
     evolved = _evolved_columns(evolution, columns, tau)
     generated = np.empty_like(evolved)
     for k in range(len(evolved)):
-        gen._stack.apply(evolved[k], out=generated[k])
+        _applied_vector(gen, evolved[k], out=generated[k])
     v = _system_env_split(evolved, labels)
     del evolved
     # conj_weighted[k] = sum_k' W_kk' V_k'^*, so rho_S[a, c] sums

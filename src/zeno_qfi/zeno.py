@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from math import sqrt
+from math import isfinite, sqrt
 
 import numpy as np
 
@@ -68,8 +68,10 @@ class ZenoSchedule:
     def __post_init__(self):
         if self.m < 1:
             raise ValueError("need at least one measurement")
-        if not self.tau > 0:
-            raise ValueError("measurement interval must be positive")
+        if not (self.tau > 0 and isfinite(self.tau)):
+            raise ValueError(
+                f"measurement interval must be positive and finite, got {self.tau}"
+            )
 
 
 def _project_system(

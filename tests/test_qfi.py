@@ -586,10 +586,9 @@ def test_evolved_frame_matches_heisenberg_picture(kind):
     ],
 )
 def test_basis_stack_matches_element_by_element(kind, n):
-    """Each basis element applied as one sum (one gather up to 8 qubits,
-    the flip kernel above) equals its terms applied one by one and added in
-    term order, to the last bit; the symmetric elements are sums of several
-    strings."""
+    """Each basis element applied as one sum equals its terms applied one
+    by one and added in term order, to the last bit; the symmetric elements
+    are sums of several strings."""
     model, _ = model_setup(n, 1.0, 1.0)
     basis = getattr(EnvOperatorBasis, kind)(model.labels)
     rng = np.random.default_rng(n)
@@ -599,15 +598,15 @@ def test_basis_stack_matches_element_by_element(kind, n):
         expected = _applied_vector(first, phi)
         for t in rest:
             expected = expected + _applied_vector(t, phi)
-        assert np.array_equal(h._stack.apply(phi), expected)
+        assert np.array_equal(_applied_vector(h, phi), expected)
 
 
 def test_solver_leaves_the_flip_kernel_to_large_registers(monkeypatch):
     """A per-qubit solve at N = 5 (10 qubits) evolves psi and applies H_hat
-    in the generator's eigenframe, so it calls no rotation, flip kernel or
-    gather.  A generator on 10 qubits that commutes but carries Z and X on
-    every qubit (Z_S X_E + X_S Z_E per pair) has no eigenframe: its
-    rotations still reach the flip kernel."""
+    in the generator's eigenframe, so it calls no rotation or flip kernel.
+    A generator on 10 qubits that commutes but carries Z and X on every
+    qubit (Z_S X_E + X_S Z_E per pair) has no eigenframe: its rotations
+    still reach the flip kernel."""
     rotate = paulis._rotate
 
     def forbidden(name):
@@ -620,7 +619,6 @@ def test_solver_leaves_the_flip_kernel_to_large_registers(monkeypatch):
         (qfi, "_rotate"),
         (paulis, "_rotate"),
         (paulis, "_apply_string"),
-        (paulis, "_gather"),
     ):
         monkeypatch.setattr(module, name, forbidden(name))
     model, h_hat = model_setup(5, 1.0, 1.0)

@@ -12,10 +12,13 @@ from zeno_qfi import zeno
 from zeno_qfi.channels import (
     DilatedEvolution,
     build_dephasing_model,
+    evolve,
     generator,
+    kraus_from_dilation,
 )
 from zeno_qfi.dense import DenseOperator
 from zeno_qfi.paulis import OperatorSum, PauliTerm, to_dense, variance
+from zeno_qfi.qfi import EnvOperatorBasis, minimize_qfi_bound, qfi_sld_oracle
 from zeno_qfi.states import (
     ENVIRONMENT,
     SYSTEM,
@@ -53,6 +56,29 @@ def test_schedule_validation():
         ZenoSchedule(0, 0.1)
     with pytest.raises(ValueError):
         ZenoSchedule(3, 0.0)
+
+
+@pytest.mark.parametrize("tau", [math.inf, -math.inf, math.nan])
+def test_non_finite_interval_is_refused_where_it_enters(tau):
+    """On the 2-pair model with a GHZ input, each entry point that takes an
+    interval names it in a ValueError instead of returning a survival of 0,
+    NaN amplitudes or a LinAlgError; finite values, negative ones
+    included, stay accepted where they were."""
+    model = build_dephasing_model(2, 1.0, 1.0)
+    full = tensor_state(ghz_state(2), zero_environment(2))
+    basis = EnvOperatorBasis.single_qubit_paulis(model.labels)
+    entries = {
+        "schedule": lambda t: ZenoSchedule(3, t),
+        "solver": lambda t: minimize_qfi_bound(generator(model), basis, full, t),
+        "oracle": lambda t: qfi_sld_oracle(model, ghz_state(2), t),
+        "evolve": lambda t: evolve(model, full, t),
+        "kraus": lambda t: kraus_from_dilation(model, t),
+    }
+    for call in entries.values():
+        with pytest.raises(ValueError, match=f"must be .*finite, got {tau}"):
+            call(tau)
+    for name in ("solver", "evolve", "kraus"):
+        entries[name](-0.4)
 
 
 def test_projector_requires_system_labels():
