@@ -52,7 +52,6 @@ from .qfi import (
     qfi_ratio_asymptote,
     qfi_separable,
     qfi_sld_oracle,
-    qfi_upper_bound,
 )
 from .states import (
     ENVIRONMENT,

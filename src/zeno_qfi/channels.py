@@ -34,7 +34,8 @@ class DilatedEvolution:
     """Time-parameterized unitary U(t) on a labeled register.
 
     ``rotations`` are ordered (rate, PauliTerm) pairs, applied
-    first-to-last; U(0) = identity by construction.
+    first-to-last; U(0) = identity by construction.  Every rate must be
+    finite.
     """
 
     labels: tuple[Subsystem, ...]
@@ -43,6 +44,8 @@ class DilatedEvolution:
     def __post_init__(self):
         object.__setattr__(self, "labels", tuple(self.labels))
         rots = tuple((float(r), p) for r, p in self.rotations)
+        if not all(isfinite(r) for r, _ in rots):
+            raise ValueError("rates must be finite")
         for _, p in rots:
             if p.n_qubits != len(self.labels):
                 raise DimensionMismatchError("rotation string size mismatch")
@@ -100,8 +103,6 @@ def build_dephasing_model(n: int, omega0: float, gamma: float) -> DilatedEvoluti
     """
     if n < 1:
         raise ValueError("need at least one qubit pair")
-    if not (np.isfinite(omega0) and np.isfinite(gamma)):
-        raise ValueError("rates must be finite")
     width = 2 * n
     rotations = []
     for i in range(n):

@@ -18,6 +18,7 @@ and calls no Pauli-string kernel.
 
 from __future__ import annotations
 
+from cmath import isfinite
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import combinations
@@ -65,13 +66,15 @@ _FRAME_WINDOW = 4
 
 @dataclass(frozen=True)
 class PauliTerm:
-    """One weighted Pauli string, e.g. 0.5 * Z x I x X."""
+    """One weighted Pauli string, e.g. 0.5 * Z x I x X (finite weight)."""
 
     coefficient: complex
     factors: str
 
     def __post_init__(self):
         object.__setattr__(self, "coefficient", complex(self.coefficient))
+        if not isfinite(self.coefficient):
+            raise ValueError(f"Pauli coefficient must be finite, got {self.coefficient}")
         if not self.factors or any(c not in PAULI_CHARS for c in self.factors):
             raise ValueError(f"invalid Pauli factors {self.factors!r}")
 
@@ -306,17 +309,20 @@ def _qubitwise_frame(op: OperatorSum) -> _Eigenframe | None:
     return _Eigenframe(letters, tuple(windows), tuple(components))
 
 
-def _applied_vector(op, amplitudes: np.ndarray, out=None) -> np.ndarray:
-    """Amplitudes of O|psi> for a PauliTerm, an OperatorSum or a
-    DenseOperator, written into ``out`` when given.  A Pauli sum runs
-    through the flip kernel: its first term is written into the output and
-    each later one added to it in term order."""
-    if isinstance(op, DenseOperator):
-        if op.dim != amplitudes.size:
-            raise DimensionMismatchError("dense operator does not match state size")
-        return np.matmul(op.matrix, amplitudes, out=out)
+def _as_sum(op) -> OperatorSum:
+    """A PauliTerm as a one-term sum; an OperatorSum as it is."""
     if isinstance(op, PauliTerm):
-        op = OperatorSum((op,))
+        return OperatorSum((op,))
+    if not isinstance(op, OperatorSum):
+        raise TypeError(f"expected a PauliTerm or an OperatorSum, got {type(op).__name__}")
+    return op
+
+
+def _applied_vector(op, amplitudes: np.ndarray, out=None) -> np.ndarray:
+    """Amplitudes of O|psi> for a PauliTerm or an OperatorSum, written into
+    ``out`` when given, through the flip kernel: the first term is written
+    into the output and each later one added to it in term order."""
+    op = _as_sum(op)
     if 2**op.n_qubits != amplitudes.size:
         raise DimensionMismatchError(
             f"operator on {op.n_qubits} qubits applied to {amplitudes.size} amplitudes"
@@ -342,17 +348,15 @@ def apply_operator(op, state: StateVector) -> StateVector:
 
 
 def variance(op, state: StateVector) -> float:
-    """Variance <O^2> - <O>^2 on a state, computed as |O psi|^2 - <O>^2.
+    """Variance <O^2> - <O>^2 of a PauliTerm or an OperatorSum on a state,
+    computed as |O psi|^2 - <O>^2.
 
     The squared-norm form is robust near eigenstates; values in
     [-1e-12, 0) are clamped to zero, anything lower raises.
     """
-    if isinstance(op, PauliTerm):
-        op = OperatorSum((op,))
-    if isinstance(op, OperatorSum) and not op.hermitian:
+    op = _as_sum(op)
+    if not op.hermitian:
         raise HermiticityError("variance requires a Hermitian operator sum")
-    if isinstance(op, DenseOperator) and not op.is_hermitian():
-        raise HermiticityError("variance requires a Hermitian matrix")
     vec = _applied_vector(op, state.amplitudes)
     mean = complex(np.vdot(state.amplitudes, vec))
     if abs(mean.imag) > IMAG_RESIDUE_TOL:
@@ -367,8 +371,7 @@ def variance(op, state: StateVector) -> float:
 def to_dense(op) -> DenseOperator:
     """Dense matrix of a PauliTerm or OperatorSum (4^n entries, within the
     dense budget)."""
-    if isinstance(op, PauliTerm):
-        op = OperatorSum((op,))
+    op = _as_sum(op)
     check_dense_budget(4**op.n_qubits)
     dim = 2**op.n_qubits
     mat = np.zeros((dim, dim), dtype=np.complex128)

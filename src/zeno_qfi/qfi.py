@@ -14,18 +14,16 @@ commutes with H_hat, so every covariance of H_hat and h'_k on the initial
 state equals the one of H_hat and the plain h_k on phi = U'(tau)|psi>.  The
 state is evolved once and no basis element is conjugated;
 ``conjugate_env_operator`` is the Heisenberg-picture form of the same
-quantity, which tests compare against.  A generator whose terms carry one
-Pauli letter per qubit, as every generator the library builds does, is
-diagonal after a local Clifford C, so phi and H_hat phi are taken in that
-eigenframe as elementwise products; any other commuting sum is evolved by
-one Pauli rotation per term, and a non-commuting one by a dense
-exponential.  No basis element is applied either: the h_k act on the
+quantity, which tests compare against.  The generator is a Pauli sum whose
+terms carry one Pauli letter per qubit, as every generator the library
+builds does: a local Clifford C makes it diagonal, so phi and H_hat phi are
+taken in that eigenframe as elementwise products, and any other generator
+is refused.  No basis element is applied either: the h_k act on the
 environment alone, so the quadratic depends on phi only through the two
 d_E x d_E matrices Tr_S |phi><phi| and Tr_S(H_hat |phi><phi|), from which a
 table of the products of two basis strings, built once per basis and
 frame with the strings conjugated by C, reads every entry by one gather.
 That costs O(d_S d_E^2 + U d_E) time for U distinct products and d_E^2
-memory, where applying the k elements cost O(k^2 d_S d_E) time and k 2^n
 memory.
 
 The closed forms ``qfi_ghz``, ``qfi_ghz_large_n`` and
@@ -43,17 +41,14 @@ from math import cos, isfinite, sin
 import numpy as np
 
 from .channels import DilatedEvolution, _evolved_columns, generator
-from .dense import DenseOperator, hermitian_expm
+from .dense import DenseOperator
 from .exceptions import DimensionMismatchError, HermiticityError, PoleProximityError
 from .paulis import (
     OperatorSum,
     PauliTerm,
     _applied_vector,
-    _rotate,
     pauli_product,
     paulis_commute,
-    to_dense,
-    variance,
 )
 from .states import (
     ENVIRONMENT,
@@ -334,11 +329,6 @@ class AnalyticParams:
             raise ValueError("interval and gamma * interval must be finite")
 
 
-def qfi_upper_bound(h_prime, psi_full: StateVector) -> float:
-    """Channel-information bound 4 Var(H') on the enlarged register."""
-    return 4.0 * variance(h_prime, psi_full)
-
-
 def _conjugate_by_rotation(
     terms: list[PauliTerm], theta: float, axis: str
 ) -> list[PauliTerm]:
@@ -356,69 +346,51 @@ def _conjugate_by_rotation(
     return out
 
 
-def conjugate_env_operator(h_env: OperatorSum, h_hat, tau: float):
-    """Heisenberg picture of an environment operator under exp(-i H_hat tau).
-
-    When H_hat is a Pauli sum of mutually commuting terms, the evolution
-    factorizes into Pauli rotations and the conjugation stays inside the
-    Pauli algebra at any register size.  Otherwise the product is formed
-    densely, which requires the register to fit in the dense budget.  A
-    generator that is not Hermitian raises ``HermiticityError`` either way.
-    """
-    if isinstance(h_hat, OperatorSum) and h_hat.mutually_commuting:
-        if not h_hat.hermitian:
-            raise HermiticityError("the generator must be a Hermitian operator sum")
-        terms = list(h_env.terms)
-        for term in h_hat.terms:
-            theta = 2.0 * term.coefficient.real * tau
-            terms = _conjugate_by_rotation(terms, theta, term.factors)
-        return OperatorSum(terms, n_qubits=h_env.n_qubits)
-    h_mat = to_dense(h_env).matrix
-    h_dense = h_hat if isinstance(h_hat, DenseOperator) else to_dense(h_hat)
-    u = hermitian_expm(h_dense, tau)
-    return DenseOperator(u.matrix.conj().T @ h_mat @ u.matrix)
+def _check_generator(h_hat) -> None:
+    """Refuse a generator that is not a Hermitian OperatorSum."""
+    if not isinstance(h_hat, OperatorSum):
+        raise TypeError(f"the generator must be an OperatorSum, got {type(h_hat).__name__}")
+    if not h_hat.hermitian:
+        raise HermiticityError("the generator must be a Hermitian operator sum")
 
 
-def _evolved_state(h_hat, psi_full: StateVector, tau):
-    """phi = exp(-i H_hat tau)|psi> and H_hat phi, both in the frame C of
-    the returned environment letters, by one of three paths:
+def conjugate_env_operator(h_env: OperatorSum, h_hat: OperatorSum, tau: float):
+    """Heisenberg picture of an environment operator under exp(-i H_hat tau),
+    the reference for the solver's evolved frame.  H_hat is a Hermitian sum
+    of commuting terms, so the evolution factorizes into Pauli rotations
+    and the conjugation stays inside the Pauli algebra at any register
+    size; any other generator, or a non-finite tau, raises."""
+    if not isfinite(tau):
+        raise ValueError(f"interval must be finite, got {tau}")
+    _check_generator(h_hat)
+    if not h_hat.mutually_commuting:
+        raise ValueError("the generator's terms must commute")
+    terms = list(h_env.terms)
+    for term in h_hat.terms:
+        theta = 2.0 * term.coefficient.real * tau
+        terms = _conjugate_by_rotation(terms, theta, term.factors)
+    return OperatorSum(terms, n_qubits=h_env.n_qubits)
 
-    - A Pauli sum whose terms carry one letter per qubit (qubit-wise
-      commuting, as every generator the library builds is) goes through
-      its eigenframe: C is the local Clifford that makes H_hat diagonal,
-      C phi = exp(-i tau lambda) * C psi and C H_hat phi = lambda * C phi,
-      with no Pauli rotation and no Pauli-string kernel.
-    - Any other commuting Pauli sum takes one Pauli rotation per term with
-      theta = 2 c tau, as in ``conjugate_env_operator``, and H_hat is
-      applied term by term; C is the identity, with letters "".
-    - A non-commuting sum or a ``DenseOperator`` takes one dense
-      exponential, C again the identity.
 
-    A generator that is not Hermitian raises ``HermiticityError``.
-    """
-    size = h_hat.dim if isinstance(h_hat, DenseOperator) else 2**h_hat.n_qubits
-    if size != psi_full.dim:
+def _evolved_state(h_hat: OperatorSum, psi_full: StateVector, tau):
+    """phi = exp(-i H_hat tau)|psi> and H_hat phi in the eigenframe C of
+    H_hat, and the frame's environment letters: C phi = exp(-i tau lambda)
+    * C psi and C H_hat phi = lambda * C phi, with no Pauli-string kernel.
+    A sum with two letters on a qubit, which has no such frame, raises
+    ``ValueError``; the library builds none."""
+    _check_generator(h_hat)
+    if 2**h_hat.n_qubits != psi_full.dim:
         raise DimensionMismatchError("generator does not match the state register")
-    amps = psi_full.amplitudes
-    if isinstance(h_hat, OperatorSum):
-        frame = h_hat._frame
-        if (frame is not None or h_hat.mutually_commuting) and not h_hat.hermitian:
-            raise HermiticityError("the generator must be a Hermitian operator sum")
-        if frame is not None:
-            phi = frame.evolved(amps, tau)
-            env = zip(frame.letters, psi_full.labels)
-            letters = "".join(f for f, l in env if l is ENVIRONMENT)
-            return phi, frame.apply(phi), letters
-        if h_hat.mutually_commuting:
-            for term in h_hat.terms:
-                amps = _rotate(term.factors, 2.0 * term.coefficient.real * tau, amps)
-            return amps, _applied_vector(h_hat, amps), ""
-    h_dense = h_hat if isinstance(h_hat, DenseOperator) else to_dense(h_hat)
-    phi = hermitian_expm(h_dense, tau).matrix @ amps
-    return phi, _applied_vector(h_hat, phi), ""
+    frame = h_hat._frame
+    if frame is None:
+        raise ValueError("the generator needs one Pauli letter per qubit")
+    phi = frame.evolved(psi_full.amplitudes, tau)
+    env = zip(frame.letters, psi_full.labels)
+    letters = "".join(f for f, l in env if l is ENVIRONMENT)
+    return phi, frame.apply(phi), letters
 
 
-def _normal_equations(h_hat, basis, psi_full: StateVector, tau):
+def _normal_equations(h_hat: OperatorSum, basis, psi_full: StateVector, tau):
     """Quadratic form of Var(H_hat + sum_k c_k h'_k) in the coefficients c.
 
     Every h'_k = U^dag h_k U with U = exp(-i H_hat tau), and U commutes
@@ -466,7 +438,7 @@ def _bound_at(coeff, h_variance, gram, cross) -> float:
 
 
 def minimize_qfi_bound(
-    h_hat,
+    h_hat: OperatorSum,
     basis: EnvOperatorBasis,
     psi_full: StateVector,
     tau: float,
@@ -479,15 +451,16 @@ def minimize_qfi_bound(
     ``_normal_equations``); no k x 2^n array of applied vectors is formed.
     A per-qubit solve at N = 8 (16 qubits, 24 elements) peaks at 4.0 MiB of
     ``tracemalloc`` (4.5 MiB when it also builds the basis's product table),
-    four vectors of the register, against 27 MiB when every element was
-    applied to the state.  The bound at the returned coefficients is the quadratic
-    form 4 max(Var H_hat + 2 c.b + c^T G c, 0).  Degenerate Gram matrices
+    four vectors of the register.  The bound at the returned coefficients
+    is the quadratic form 4 max(Var H_hat + 2 c.b + c^T G c, 0).  Degenerate Gram matrices
     are handled by a pseudo-inverse: G is symmetric, so its singular values
     are the magnitudes |lambda| of its eigenvalues, and those below 1e-10 of
     the largest are treated as zero; the raw condition number, the rank
-    kept and the residual |G c + b| are reported for diagnostics.  A basis
-    whose labels differ from the state's raises ``DimensionMismatchError``:
-    its "environment" operators would act on system qubits.
+    kept and the residual |G c + b| are reported for diagnostics.  H_hat
+    must be a Hermitian Pauli sum with one letter per qubit (see
+    ``_evolved_state``).  A basis whose labels differ from the state's
+    raises ``DimensionMismatchError``: its "environment" operators would
+    act on system qubits.
     """
     if not isfinite(tau):
         raise ValueError(f"interval must be finite, got {tau}")

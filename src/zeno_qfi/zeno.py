@@ -23,20 +23,20 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
+from itertools import product
 from math import isfinite, sqrt
 
 import numpy as np
 
 from .channels import DilatedEvolution, evolve
-from .dense import DenseOperator
+from .dense import DenseOperator, check_dense_budget
 from .exceptions import DimensionMismatchError, HermiticityError
-from .paulis import OperatorSum, PauliTerm, apply_operator, to_dense, variance
+from .paulis import OperatorSum, PauliTerm, apply_operator, variance
 from .states import (
     ENVIRONMENT,
     SYSTEM,
     StateVector,
     Subsystem,
-    _system_env_join,
     from_system_env_matrix,
     system_env_matrix,
     tensor_state,
@@ -253,30 +253,17 @@ def conditional_state(
     return DenseOperator(np.outer(psi, psi.conj()))
 
 
-def _dense_projector(
-    psi0: StateVector, labels: tuple[Subsystem, ...]
-) -> np.ndarray:
-    """Dense |psi0><psi0| x I_env on a register with arbitrary label order."""
-    d_env = 2 ** labels.count(ENVIRONMENT)
-    # Row e is |psi0>|e> in register order.
-    block = np.einsum("s,ef->esf", psi0.amplitudes, np.eye(d_env))
-    rows = _system_env_join(block, labels)
-    return rows.T @ rows.conj()
-
-
 def zeno_hamiltonian(
     h_se: OperatorSum,
     projector: ZenoProjector,
     labels: tuple[Subsystem, ...],
-):
-    """Effective generator H - M H M governing short-time survival decay.
-
-    For a Pauli-sum H the filtered part M H M vanishes exactly when, for
-    every environment string, the psi0-expectations of the attached system
-    strings cancel; in that case H is returned unchanged (still a Pauli
-    sum).  Otherwise the dense difference is formed, which requires the
-    register to fit in the dense budget.
-    """
+) -> OperatorSum:
+    """Effective generator H - M H M of short-time survival decay, a Pauli
+    sum.  With M = |psi0><psi0| x I_env, M H M = |psi0><psi0| x F, where F
+    gives each environment string e of H the sum of c <psi0|s|psi0> over
+    its terms c s x e.  When F vanishes, H itself is returned; otherwise
+    |psi0><psi0| is expanded as 2^{-N_S} sum_s <psi0|s|psi0> s over the
+    system strings s, refused (``DenseCapError``) above the dense cap."""
     if not h_se.hermitian:
         raise HermiticityError("zeno_hamiltonian requires a Hermitian generator")
     sys_pos = [i for i, l in enumerate(labels) if l is SYSTEM]
@@ -286,19 +273,28 @@ def zeno_hamiltonian(
     if 2 ** len(sys_pos) != projector.psi0.dim:
         raise DimensionMismatchError("projector does not match the system register")
 
-    filtered: dict[str, complex] = {}
+    def overlap(sys_string: str) -> float:
+        # A Pauli string is Hermitian, so its expectation is real.
+        acted = apply_operator(PauliTerm(1.0, sys_string), projector.psi0)
+        return float(np.vdot(projector.psi0.amplitudes, acted.amplitudes).real)
+
+    filtered: dict[str, float] = {}
     for term in h_se.terms:
         sys_string = "".join(term.factors[p] for p in sys_pos)
         env_string = "".join(term.factors[p] for p in env_pos)
-        acted = apply_operator(PauliTerm(1.0, sys_string), projector.psi0)
-        overlap = complex(np.vdot(projector.psi0.amplitudes, acted.amplitudes))
-        filtered[env_string] = filtered.get(env_string, 0.0) + term.coefficient * overlap
+        weight = term.coefficient.real * overlap(sys_string)
+        filtered[env_string] = filtered.get(env_string, 0.0) + weight
     if all(abs(c) <= 1e-12 for c in filtered.values()):
         return h_se
 
-    h = to_dense(h_se).matrix
-    m = _dense_projector(projector.psi0, tuple(labels))
-    return DenseOperator(h - m @ h @ m)
+    check_dense_budget(4**h_se.n_qubits)
+    place = np.argsort(sys_pos + env_pos)  # register position -> index in s + e
+    terms = list(h_se.terms)
+    for s in map("".join, product("IXYZ", repeat=len(sys_pos))):
+        weight = -overlap(s) / 2 ** len(sys_pos)
+        for e, c in filtered.items():
+            terms.append(PauliTerm(weight * c, "".join((s + e)[i] for i in place)))
+    return OperatorSum(terms, n_qubits=h_se.n_qubits)
 
 
 def survival_probability_quadratic(

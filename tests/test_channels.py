@@ -106,6 +106,20 @@ def test_model_rejects_bad_sizes():
         build_dephasing_model(1, np.inf, 0.0)
 
 
+@pytest.mark.parametrize("rate", [np.nan, np.inf, -np.inf])
+def test_non_finite_rate_is_refused_by_the_dilation(rate):
+    """A one-pair model whose Z rate is NaN used to be accepted: its
+    generator came out as 0.5 ZX alone, the solver returned 1.0, and the
+    SLD oracle and the exact survival returned 0.0, all silently."""
+    rotations = [(rate, PauliTerm(1.0, "ZI")), (1.0, PauliTerm(1.0, "ZX"))]
+    with pytest.raises(ValueError, match="rates must be finite"):
+        DilatedEvolution((SYSTEM, ENVIRONMENT), rotations)
+    with pytest.raises(ValueError, match="rates must be finite"):
+        build_dephasing_model(1, rate, 1.0)
+    with pytest.raises(ValueError, match="rates must be finite"):
+        build_dephasing_model(1, 1.0, rate)
+
+
 def test_decoupled_model_leaves_environment_alone():
     model = build_dephasing_model(1, 1.3, 0.0)
     state = tensor_state(plus_state(1), zero_environment(1))

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -203,13 +204,10 @@ def test_mutually_commuting_flag():
 
 
 def expectation(op, state: StateVector) -> float:
-    """Real expectation value <psi|O|psi> of a Hermitian operator: an
-    OperatorSum with real coefficients, or a Hermitian DenseOperator.
-    An imaginary residue above 1e-10 raises."""
-    if isinstance(op, OperatorSum) and not op.hermitian:
+    """Real expectation value <psi|O|psi> of an OperatorSum with real
+    coefficients.  An imaginary residue above 1e-10 raises."""
+    if not op.hermitian:
         raise HermiticityError("expectation requires a Hermitian operator sum")
-    if isinstance(op, DenseOperator) and not op.is_hermitian():
-        raise HermiticityError("expectation requires a Hermitian matrix")
     value = complex(np.vdot(state.amplitudes, _applied_vector(op, state.amplitudes)))
     if abs(value.imag) > IMAG_RESIDUE_TOL:
         raise HermiticityError(f"imaginary residue {value.imag:.3e} exceeds tolerance")
@@ -247,6 +245,16 @@ def test_variance_rejects_a_bare_term_with_a_complex_coefficient():
         with pytest.raises(HermiticityError):
             variance(op, plus_state(1))
     assert variance(PauliTerm(1.0, "Z"), plus_state(1)) == pytest.approx(1.0)
+
+
+def test_variance_and_application_refuse_a_dense_matrix():
+    """Operators on the register are Pauli sums: a DenseOperator is refused
+    with a TypeError, not applied as a matrix."""
+    dense = DenseOperator(np.diag([1.0, -1.0]))
+    with pytest.raises(TypeError, match="PauliTerm or an OperatorSum"):
+        variance(dense, plus_state(1))
+    with pytest.raises(TypeError, match="PauliTerm or an OperatorSum"):
+        apply_operator(dense, plus_state(1))
 
 
 def test_variance_eigenstate_is_zero():
@@ -290,6 +298,16 @@ def test_variance_nonnegative_on_random_pairs():
 
 
 # ---- construction invariants ----
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, complex(0.0, -math.inf)])
+def test_non_finite_coefficient_is_refused(value):
+    """A NaN coefficient used to be dropped by the sum as negligible
+    (abs(nan) > 1e-15 is False), so 0.5 ZX + nan ZI became 0.5 ZX."""
+    with pytest.raises(ValueError, match="must be finite"):
+        PauliTerm(value, "ZI")
+    with pytest.raises(ValueError, match="must be finite"):
+        OperatorSum([PauliTerm(0.5, "ZX"), PauliTerm(value, "ZI")])
 
 
 def test_operator_sum_merges_duplicates():

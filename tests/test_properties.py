@@ -9,11 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zeno_qfi.channels import build_dephasing_model, generator, kraus_from_dilation
+from zeno_qfi.paulis import variance
 from zeno_qfi.qfi import (
     EnvOperatorBasis,
     minimize_qfi_bound,
     qfi_sld_oracle,
-    qfi_upper_bound,
 )
 from zeno_qfi.states import ENVIRONMENT, SYSTEM, StateVector, tensor_state, zero_environment
 from zeno_qfi.zeno import (
@@ -61,7 +61,7 @@ def test_bound_ordering(omega0, gamma, tau, system):
     complete = minimum(EnvOperatorBasis.complete)
     per_qubit = minimum(EnvOperatorBasis.single_qubit_paulis)
     symmetric = minimum(EnvOperatorBasis.symmetric)
-    unoptimized = qfi_upper_bound(h_hat, full)
+    unoptimized = 4.0 * variance(h_hat, full)
 
     assert complete == pytest.approx(exact, rel=1e-6, abs=1e-9)
     slack = 1e-9 * max(unoptimized, 1.0)

@@ -18,7 +18,7 @@ from zeno_qfi.exceptions import (
     HermiticityError,
     PoleProximityError,
 )
-from zeno_qfi.paulis import OperatorSum, PauliTerm, _applied_vector, to_dense
+from zeno_qfi.paulis import OperatorSum, PauliTerm, _applied_vector, to_dense, variance
 from zeno_qfi.qfi import (
     GRAM_CUTOFF,
     SLD_EIGENVALUE_FLOOR,
@@ -37,7 +37,6 @@ from zeno_qfi.qfi import (
     qfi_ratio_asymptote,
     qfi_separable,
     qfi_sld_oracle,
-    qfi_upper_bound,
 )
 from zeno_qfi.states import (
     ENVIRONMENT,
@@ -104,14 +103,14 @@ def true_ghz_qfi(n, omega0, gamma, tau):
 def test_bound_vanishes_on_eigenstate():
     h = OperatorSum.from_term(1.0, "ZI")
     psi = tensor_state(basis_state(0, (SYSTEM,)), zero_environment(1))
-    assert qfi_upper_bound(h, psi) == pytest.approx(0.0, abs=1e-14)
+    assert 4.0 * variance(h, psi) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_bound_one_pair_value():
     for omega0, gamma in ((1.0, 1.0), (0.6, 1.4)):
         _, h_hat = model_setup(1, omega0, gamma)
         psi = product_input(1)
-        assert qfi_upper_bound(h_hat, psi) == pytest.approx(
+        assert 4.0 * variance(h_hat, psi) == pytest.approx(
             omega0**2 + gamma**2, rel=1e-12
         )
 
@@ -120,7 +119,7 @@ def test_bound_one_pair_value():
 def test_bound_ghz_value(n):
     omega0, gamma = 1.1, 0.7
     _, h_hat = model_setup(n, omega0, gamma)
-    assert qfi_upper_bound(h_hat, ghz_input(n)) == pytest.approx(
+    assert 4.0 * variance(h_hat, ghz_input(n)) == pytest.approx(
         n**2 * omega0**2 + n * gamma**2, rel=1e-12
     )
 
@@ -175,16 +174,15 @@ def test_conjugation_keeps_hermitian_elements_hermitian():
             assert conjugate_env_operator(element, h_hat, tau).hermitian
 
 
-def test_conjugation_dense_fallback_for_noncommuting_generator():
-    # Z_S + X_S do not commute, so the Pauli-rotation path is unavailable
+def test_conjugation_refuses_a_noncommuting_or_dense_generator():
+    """Z_S + X_S do not commute, so the evolution is no product of Pauli
+    rotations, and a dense matrix is not a Pauli sum: both are refused."""
     h_hat = OperatorSum([PauliTerm(0.5, "ZI"), PauliTerm(0.5, "XI")])
     h_env = OperatorSum.from_term(1.0, "IY")
-    out = conjugate_env_operator(h_env, h_hat, 0.6)
-    assert isinstance(out, DenseOperator)
-    w, v = np.linalg.eigh(to_dense(h_hat).matrix)
-    u = (v * np.exp(-1j * w * 0.6)) @ v.conj().T
-    oracle = u.conj().T @ to_dense(h_env).matrix @ u
-    np.testing.assert_allclose(out.matrix, oracle, atol=1e-12)
+    with pytest.raises(ValueError, match="commute"):
+        conjugate_env_operator(h_env, h_hat, 0.6)
+    with pytest.raises(TypeError, match="OperatorSum"):
+        conjugate_env_operator(h_env, to_dense(h_hat), 0.6)
 
 
 # ---- variational minimization ----
@@ -232,7 +230,7 @@ def test_minimum_is_a_local_minimum():
         for c, element in zip(coeffs, basis.elements):
             conj = conjugate_env_operator(element, h_hat, tau)
             terms += [PauliTerm(float(c) * t.coefficient, t.factors) for t in conj.terms]
-        return qfi_upper_bound(OperatorSum(terms), psi)
+        return 4.0 * variance(OperatorSum(terms), psi)
 
     base = value_at(sol.coefficients)
     assert base == pytest.approx(sol.qfi, rel=1e-9)
@@ -263,7 +261,7 @@ def test_minimum_never_exceeds_unoptimized_bound():
         basis = EnvOperatorBasis.single_qubit_paulis(model.labels)
         psi = ghz_input(n) if rng.integers(2) else product_input(n)
         sol = minimize_qfi_bound(h_hat, basis, psi, tau)
-        assert sol.qfi <= qfi_upper_bound(h_hat, psi) + 1e-9
+        assert sol.qfi <= 4.0 * variance(h_hat, psi) + 1e-9
 
 
 def test_minimum_strictly_below_bound_off_the_poles():
@@ -272,7 +270,7 @@ def test_minimum_strictly_below_bound_off_the_poles():
     psi = product_input(1)
     for tau in (0.1, 0.5, 1.0):
         sol = minimize_qfi_bound(h_hat, basis, psi, tau)
-        assert sol.qfi < qfi_upper_bound(h_hat, psi) - 1e-6
+        assert sol.qfi < 4.0 * variance(h_hat, psi) - 1e-6
 
 
 def test_minimum_equals_bound_at_gamma_tau_pi():
@@ -280,7 +278,7 @@ def test_minimum_equals_bound_at_gamma_tau_pi():
     basis = EnvOperatorBasis.single_qubit_paulis(model.labels)
     psi = product_input(1)
     sol = minimize_qfi_bound(h_hat, basis, psi, math.pi)
-    assert sol.qfi == pytest.approx(qfi_upper_bound(h_hat, psi), rel=1e-9)
+    assert sol.qfi == pytest.approx(4.0 * variance(h_hat, psi), rel=1e-9)
 
 
 def test_complete_basis_reaches_the_true_qfi():
@@ -363,10 +361,8 @@ def assert_solver_matches_reference(h_hat, basis, psi, tau, reference, rng):
 
 
 def dense_evolution_reference(h_hat, basis, psi, tau):
-    """``stack_reference`` on phi from one dense exponential of H_hat,
-    whichever path the solver takes."""
-    h_dense = h_hat if isinstance(h_hat, DenseOperator) else to_dense(h_hat)
-    phi = hermitian_expm(h_dense, tau).matrix @ psi.amplitudes
+    """``stack_reference`` on phi from one dense exponential of H_hat."""
+    phi = hermitian_expm(to_dense(h_hat), tau).matrix @ psi.amplitudes
     vecs = np.stack([_applied_vector(h, phi) for h in basis.elements])
     return stack_reference(phi, _applied_vector(h_hat, phi), vecs)
 
@@ -388,32 +384,19 @@ def _interleaved_generator():
         ("symmetric", 5, "commuting"),
         ("complete", 2, "interleaved"),
         ("symmetric", 2, "interleaved"),
-        ("complete", 2, "dense"),
-        ("complete", 2, "non-commuting"),
-        ("single_qubit_paulis", 3, "non-commuting"),
     ],
 )
 def test_normal_equations_match_the_applied_stack(kind, n, generator_kind):
     """G, b and the bound read off the two reduced environment operators
     equal the explicit stack build [h_k phi] on phi = U|psi> to 1e-12, on
     random states of the whole register (environment not in |0...0>).  The
-    reference evolves psi by one dense exponential, whatever path the
-    solver takes."""
+    reference evolves psi by one dense exponential."""
     rng = np.random.default_rng(7 * n + len(generator_kind))
     model, h_hat = model_setup(n, 0.9, 1.3)
     labels = model.labels
     if generator_kind == "interleaved":
         labels = (SYSTEM, ENVIRONMENT, SYSTEM, ENVIRONMENT)
         h_hat = _interleaved_generator()
-    elif generator_kind == "dense":
-        a = rng.normal(size=(4**n, 4**n)) + 1j * rng.normal(size=(4**n, 4**n))
-        h_hat = DenseOperator((a + a.conj().T) / 2)
-    elif generator_kind == "non-commuting":
-        x_terms = tuple(
-            PauliTerm(0.4, "I" * p + "X" + "I" * (2 * n - p - 1)) for p in range(n)
-        )
-        h_hat = OperatorSum(h_hat.terms + x_terms)
-        assert not h_hat.mutually_commuting
     dim = 2 ** len(labels)
     psi = StateVector(rng.normal(size=dim) + 1j * rng.normal(size=dim), labels)
     psi = psi.normalized()
@@ -468,23 +451,25 @@ def test_eigenframe_matches_the_dense_reference_on_random_generators(seed, order
     assert_solver_matches_reference(h_hat, basis, psi, tau, reference, rng)
 
 
-def test_commuting_generator_without_an_eigenframe_rotates(monkeypatch):
+def test_commuting_generator_without_an_eigenframe_is_refused(monkeypatch):
     """Z_S Z_E + X_S X_E on each of two pairs commutes but puts two letters
-    on every qubit, so it has no eigenframe: the solver evolves psi by
-    rotations and matches the dense reference."""
+    on every qubit, so it has no eigenframe: the solver refuses it before
+    any Pauli-string kernel runs, and its dense form as not a Pauli sum."""
     terms = [(0.7, "ZIZI"), (0.4, "XIXI"), (0.5, "IZIZ"), (0.3, "IXIX")]
     h_hat = OperatorSum([PauliTerm(c, f) for c, f in terms])
     assert h_hat.mutually_commuting and h_hat._frame is None
-    rotate, calls = qfi._rotate, []
-    monkeypatch.setattr(qfi, "_rotate", lambda *a: calls.append(a) or rotate(*a))
-    rng = np.random.default_rng(3)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("Pauli-string kernel called")
+
+    monkeypatch.setattr(paulis, "_apply_string", forbidden)
     labels = (SYSTEM, SYSTEM, ENVIRONMENT, ENVIRONMENT)
-    psi = StateVector(rng.normal(size=16) + 1j * rng.normal(size=16), labels)
-    psi = psi.normalized()
+    psi = tensor_state(plus_state(2), zero_environment(2))
     basis = EnvOperatorBasis.complete(labels)
-    reference = dense_evolution_reference(h_hat, basis, psi, 0.8)
-    assert_solver_matches_reference(h_hat, basis, psi, 0.8, reference, rng)
-    assert calls
+    with pytest.raises(ValueError, match="one Pauli letter per qubit"):
+        minimize_qfi_bound(h_hat, basis, psi, 0.8)
+    with pytest.raises(TypeError, match="OperatorSum"):
+        minimize_qfi_bound(to_dense(h_hat), basis, psi, 0.8)
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -498,6 +483,24 @@ def test_eigenframe_refuses_a_non_hermitian_generator(seed):
     psi = tensor_state(plus_state(3), zero_environment(3))
     with pytest.raises(HermiticityError):
         minimize_qfi_bound(h_hat, EnvOperatorBasis.complete(labels), psi, 0.5)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_library_generators_have_an_eigenframe(n):
+    """Every generator the library builds takes the solver's one path: the
+    dephasing model at N = 1-6, and its two-pair form on the interleaved
+    (S, E, S, E) register that ``verify`` runs."""
+    model = build_dephasing_model(n, 0.9, 1.3)
+    assert generator(model)._frame is not None
+    if n == 2:
+        interleaved = DilatedEvolution(
+            (SYSTEM, ENVIRONMENT) * 2,
+            [
+                (rate, PauliTerm(1.0, "".join(p.factors[i] for i in (0, 2, 1, 3))))
+                for rate, p in model.rotations
+            ],
+        )
+        assert generator(interleaved)._frame is not None
 
 
 def test_oracle_and_kraus_extraction_never_build_an_eigenframe(monkeypatch):
@@ -539,24 +542,15 @@ def test_solves_with_the_same_environment_letters_share_one_table(monkeypatch):
     assert len(calls) == 1
 
 
-@pytest.mark.parametrize("kind", ["commuting", "non-commuting", "dense"])
+@pytest.mark.parametrize("kind", ["commuting"])
 def test_evolved_frame_matches_heisenberg_picture(kind):
     """Gram matrix, cross covariances and bound built on phi = U|psi> with
     the plain basis equal the ones built on psi from the conjugated basis
-    U^dag h_k U of ``conjugate_env_operator``, for a commuting Pauli sum
-    (rotations), a non-commuting one and a dense matrix (both through one
-    dense exponential)."""
+    U^dag h_k U of ``conjugate_env_operator``, for the commuting Pauli sum
+    of the dephasing model."""
     rng = np.random.default_rng(101)
-    model, commuting = model_setup(2, 0.9, 1.3)
-    a = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
-    h_hat, labels = {
-        "commuting": (commuting, model.labels),
-        "non-commuting": (
-            OperatorSum([PauliTerm(0.5, "ZI"), PauliTerm(0.5, "XI")]),
-            (SYSTEM, ENVIRONMENT),
-        ),
-        "dense": (DenseOperator((a + a.conj().T) / 2), model.labels),
-    }[kind]
+    model, h_hat = model_setup(2, 0.9, 1.3)
+    labels = model.labels
     amps = rng.normal(size=2 ** len(labels)) + 1j * rng.normal(size=2 ** len(labels))
     psi = StateVector(amps, labels).normalized()
     basis = EnvOperatorBasis.complete(labels)
@@ -605,9 +599,8 @@ def test_solver_leaves_the_flip_kernel_to_large_registers(monkeypatch):
     """A per-qubit solve at N = 5 (10 qubits) evolves psi and applies H_hat
     in the generator's eigenframe, so it calls no rotation or flip kernel.
     A generator on 10 qubits that commutes but carries Z and X on every
-    qubit (Z_S X_E + X_S Z_E per pair) has no eigenframe: its rotations
-    still reach the flip kernel."""
-    rotate = paulis._rotate
+    qubit (Z_S X_E + X_S Z_E per pair) has no eigenframe: it is refused
+    before any kernel call."""
 
     def forbidden(name):
         def call(*args, **kwargs):
@@ -615,12 +608,8 @@ def test_solver_leaves_the_flip_kernel_to_large_registers(monkeypatch):
 
         return call
 
-    for module, name in (
-        (qfi, "_rotate"),
-        (paulis, "_rotate"),
-        (paulis, "_apply_string"),
-    ):
-        monkeypatch.setattr(module, name, forbidden(name))
+    for name in ("_rotate", "_apply_string"):
+        monkeypatch.setattr(paulis, name, forbidden(name))
     model, h_hat = model_setup(5, 1.0, 1.0)
     basis = EnvOperatorBasis.single_qubit_paulis(model.labels)
     sol = minimize_qfi_bound(h_hat, basis, ghz_input(5), 0.5)
@@ -632,8 +621,7 @@ def test_solver_leaves_the_flip_kernel_to_large_registers(monkeypatch):
     ]
     h_swapped = OperatorSum(swapped)
     assert h_swapped.mutually_commuting and h_swapped._frame is None
-    monkeypatch.setattr(qfi, "_rotate", rotate)
-    with pytest.raises(AssertionError, match="_apply_string called"):
+    with pytest.raises(ValueError, match="one Pauli letter per qubit"):
         minimize_qfi_bound(h_swapped, basis, ghz_input(5), 0.5)
 
 

@@ -16,9 +16,14 @@ from zeno_qfi.channels import (
     generator,
     kraus_from_dilation,
 )
-from zeno_qfi.dense import DenseOperator
+from zeno_qfi.exceptions import DenseCapError
 from zeno_qfi.paulis import OperatorSum, PauliTerm, to_dense, variance
-from zeno_qfi.qfi import EnvOperatorBasis, minimize_qfi_bound, qfi_sld_oracle
+from zeno_qfi.qfi import (
+    EnvOperatorBasis,
+    conjugate_env_operator,
+    minimize_qfi_bound,
+    qfi_sld_oracle,
+)
 from zeno_qfi.states import (
     ENVIRONMENT,
     SYSTEM,
@@ -73,11 +78,14 @@ def test_non_finite_interval_is_refused_where_it_enters(tau):
         "oracle": lambda t: qfi_sld_oracle(model, ghz_state(2), t),
         "evolve": lambda t: evolve(model, full, t),
         "kraus": lambda t: kraus_from_dilation(model, t),
+        "conjugation": lambda t: conjugate_env_operator(
+            basis.elements[1], generator(model), t
+        ),
     }
     for call in entries.values():
         with pytest.raises(ValueError, match=f"must be .*finite, got {tau}"):
             call(tau)
-    for name in ("solver", "evolve", "kraus"):
+    for name in ("solver", "evolve", "kraus", "conjugation"):
         entries[name](-0.4)
 
 
@@ -549,12 +557,12 @@ def test_zeno_hamiltonian_identity_generator():
     h_se = OperatorSum.from_term(1.0, "II")
     projector = ZenoProjector(plus_state(1))
     h_hat = zeno_hamiltonian(h_se, projector, labels)
-    assert isinstance(h_hat, DenseOperator)
+    assert isinstance(h_hat, OperatorSum)
     # I - M: annihilates psi0 x anything
     psi_full = tensor_state(plus_state(1), zero_environment(1))
     assert variance(h_hat, psi_full) == pytest.approx(0.0, abs=1e-12)
     proj = np.kron(np.full((2, 2), 0.5), np.eye(2))
-    np.testing.assert_allclose(h_hat.matrix, np.eye(4) - proj, atol=1e-12)
+    np.testing.assert_allclose(to_dense(h_hat).matrix, np.eye(4) - proj, atol=1e-12)
 
 
 def test_zeno_hamiltonian_matches_dense_formula():
@@ -568,10 +576,77 @@ def test_zeno_hamiltonian_matches_dense_formula():
     psi0 = StateVector(amps / np.linalg.norm(amps), (SYSTEM,))
     projector = ZenoProjector(psi0)
     h_hat = zeno_hamiltonian(h_se, projector, labels)
-    assert isinstance(h_hat, DenseOperator)
+    assert isinstance(h_hat, OperatorSum)
     h = to_dense(h_se).matrix
     m = np.kron(np.outer(psi0.amplitudes, psi0.amplitudes.conj()), np.eye(2))
-    np.testing.assert_allclose(h_hat.matrix, h - m @ h @ m, atol=1e-12)
+    np.testing.assert_allclose(to_dense(h_hat).matrix, h - m @ h @ m, atol=1e-12)
+
+
+def dense_zeno_projector(psi0, labels):
+    """|psi0><psi0| x I_env as a matrix on a register in any label order,
+    built by moving the qubits of the block matrix into register order."""
+    n = len(labels)
+    block = np.kron(
+        np.outer(psi0.amplitudes, psi0.amplitudes.conj()),
+        np.eye(2 ** labels.count(ENVIRONMENT)),
+    )
+    order = [p for p, l in enumerate(labels) if l is SYSTEM]
+    order += [p for p, l in enumerate(labels) if l is ENVIRONMENT]
+    # Axis k of the block tensor is register position order[k].
+    targets = order + [n + p for p in order]
+    moved = np.moveaxis(block.reshape((2,) * 2 * n), range(2 * n), targets)
+    return moved.reshape(2**n, 2**n)
+
+
+ZENO_ORDERS = {
+    "block": (SYSTEM,) * 3 + (ENVIRONMENT,) * 2,
+    "interleaved": (SYSTEM, ENVIRONMENT, SYSTEM, ENVIRONMENT, SYSTEM),
+    "environment-first": (ENVIRONMENT, ENVIRONMENT, SYSTEM, SYSTEM),
+    "one-system": (ENVIRONMENT, SYSTEM, ENVIRONMENT),
+}
+
+
+@pytest.mark.parametrize("order", ZENO_ORDERS)
+@pytest.mark.parametrize("seed", range(5))
+def test_pauli_zeno_hamiltonian_equals_the_dense_difference(order, seed):
+    """On random Hermitian sums of random strings and random psi0 (N_S <= 3),
+    the Pauli-sum H - M H M equals the dense H - M H M to 1e-12, on block,
+    interleaved and environment-first label orders."""
+    rng = np.random.default_rng(seed)
+    labels = ZENO_ORDERS[order]
+    n, n_sys = len(labels), labels.count(SYSTEM)
+    strings = ("".join(rng.choice(list("IXYZ"), size=n)) for _ in range(6))
+    h_se = OperatorSum([PauliTerm(rng.normal(), f) for f in strings])
+    psi0 = random_state(rng, n_sys, SYSTEM)
+    h_hat = zeno_hamiltonian(h_se, ZenoProjector(psi0), labels)
+    assert isinstance(h_hat, OperatorSum) and h_hat.hermitian and h_hat is not h_se
+    h = to_dense(h_se).matrix
+    m = dense_zeno_projector(psi0, labels)
+    np.testing.assert_allclose(to_dense(h_hat).matrix, h - m @ h @ m, atol=1e-12)
+
+
+def test_dense_zeno_projector_on_an_interleaved_register():
+    """The reference projector on (S, E, S) is the sum over e of
+    |psi0 with e placed between its qubits> <same|."""
+    rng = np.random.default_rng(4)
+    psi0 = random_state(rng, 2, SYSTEM)
+    expected = np.zeros((8, 8), dtype=complex)
+    for e in np.eye(2):
+        ket = np.einsum("ac,f->afc", psi0.amplitudes.reshape(2, 2), e).reshape(-1)
+        expected += np.outer(ket, ket.conj())
+    labels = (SYSTEM, ENVIRONMENT, SYSTEM)
+    np.testing.assert_allclose(dense_zeno_projector(psi0, labels), expected, atol=1e-15)
+
+
+def test_zeno_hamiltonian_refuses_a_register_above_the_dense_cap():
+    """With a filtered part (psi0 = |0> has <Z> = 1), the Pauli form is
+    refused at 13 qubits, as the dense form was; with none (psi0 = |+>),
+    H passes through at any size."""
+    labels = (SYSTEM,) + (ENVIRONMENT,) * 12
+    h_se = OperatorSum.from_term(0.5, "Z" + "X" * 12)
+    with pytest.raises(DenseCapError):
+        zeno_hamiltonian(h_se, ZenoProjector(basis_state(0, (SYSTEM,))), labels)
+    assert zeno_hamiltonian(h_se, ZenoProjector(plus_state(1)), labels) is h_se
 
 
 # ---- quadratic expansion ----
@@ -602,9 +677,9 @@ def test_quadratic_survival_goes_negative_unclamped():
     assert value < 0.0
 
 
-def test_quadratic_error_scales_as_m_tau_cubed():
-    """|P_exact - P_quad| / (m tau^3) stays bounded as tau halves."""
-    model, projector, env0 = one_pair_setup()
+def assert_quadratic_error_scales(model, projector, env0):
+    """|P_exact - P_quad| / (m tau^3) at m = 20 stays bounded as tau halves,
+    with P_quad built on the Zeno Hamiltonian of the model's generator."""
     h_hat = zeno_hamiltonian(generator(model), projector, model.labels)
     psi_full = tensor_state(projector.psi0, env0)
     m = 20
@@ -616,6 +691,25 @@ def test_quadratic_error_scales_as_m_tau_cubed():
         ratios.append(abs(exact - quad) / (m * tau**3))
     assert ratios[1] <= ratios[0] * 1.1 + 1e-12
     assert ratios[2] <= ratios[1] * 1.1 + 1e-12
+
+
+def test_quadratic_error_scales_as_m_tau_cubed():
+    """|P_exact - P_quad| / (m tau^3) stays bounded as tau halves."""
+    assert_quadratic_error_scales(*one_pair_setup())
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_quadratic_error_scales_off_the_equator(seed):
+    """On a random psi0 off the equator (<Z> != 0), where the Zeno
+    Hamiltonian has a nonzero filtered part, the quadratic survival holds
+    the same bound as tau halves, on one and two pairs."""
+    rng = np.random.default_rng(seed)
+    n = 1 + seed % 2
+    model = build_dephasing_model(n, *rng.uniform(0.5, 1.5, size=2))
+    projector = ZenoProjector(random_state(rng, n, SYSTEM))
+    h_se = generator(model)
+    assert zeno_hamiltonian(h_se, projector, model.labels) is not h_se
+    assert_quadratic_error_scales(model, projector, zero_environment(n))
 
 
 # ---- zeno time ----
