@@ -9,7 +9,9 @@ exp(-i rate t P / 2), which scales to large registers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import isfinite
+from typing import NamedTuple
 
 import numpy as np
 
@@ -56,6 +58,59 @@ class DilatedEvolution:
     @property
     def n_qubits(self) -> int:
         return len(self.labels)
+
+    @cached_property
+    def _pair_form(self) -> "_PairForm | None":
+        """The rotation list's ``_PairForm`` or None, read once (frozen)."""
+        return _read_pair_form(self)
+
+
+class _PairForm(NamedTuple):
+    """What the closed-form survival reads off a rotation list in pair form
+    (see ``zeno.survival_probability_exact``): ``theta[a]`` = omega_a +-
+    gamma_a in long double, ``rows[a]`` = 2 for a coupled system qubit a
+    and 1 for an uncoupled one, ``order`` the transpose from system order to
+    environment order of the coupled b, and ``lone`` the uncoupled b."""
+
+    theta: np.ndarray
+    rows: tuple[int, ...]
+    order: tuple[int, ...]
+    lone: tuple[int, ...]
+
+
+def _read_pair_form(u: DilatedEvolution) -> _PairForm | None:
+    """The pair form of a rotation list, or None for any other list
+    (parities, Y, two partners): the library builds none of them.  A
+    string with no system Z is a phase on the filtered kernel, gone from
+    the survival."""
+    rank = [u.labels[:j].count(label) for j, label in enumerate(u.labels)]
+    n_sys = u.labels.count(SYSTEM)
+    omega, gamma, partner = [0.0] * n_sys, [0.0] * n_sys, [None] * n_sys
+    for rate, pauli in u.rotations:
+        a = b = None
+        for label, i, c in zip(u.labels, rank, pauli.factors):
+            if c == "I":
+                continue
+            if c == "Z" and label is SYSTEM and a is None:
+                a = i
+            elif c == "X" and label is ENVIRONMENT and b is None:
+                b = i
+            else:
+                return None
+        if a is None:
+            continue
+        if b is None:
+            omega[a] += rate
+        elif partner[a] == b or (partner[a] is None and b not in partner):
+            partner[a], gamma[a] = b, gamma[a] + rate
+        else:
+            return None
+    pairs = [b for b in partner if b is not None]
+    theta = np.array(omega, np.longdouble)[:, None] + np.multiply.outer(gamma, [1, -1])
+    theta.flags.writeable = False  # shared by every call on this evolution
+    rows = tuple(1 if b is None else 2 for b in partner)
+    lone = tuple(b for b in range(u.labels.count(ENVIRONMENT)) if b not in pairs)
+    return _PairForm(theta, rows, tuple(int(j) for j in np.argsort(pairs)), lone)
 
 
 @dataclass(frozen=True, eq=False)

@@ -55,6 +55,8 @@ from .states import (
 from .zeno import (
     ZenoProjector,
     ZenoSchedule,
+    _is_finite_number,
+    _is_whole,
     _survival_by_collapse,
     survival_probability_exact,
     survival_probability_quadratic,
@@ -81,18 +83,6 @@ _DEFAULT_N = {
 # The largest qubit count a float64 holds exactly; the sweeps evaluate the
 # closed forms on a float64 array of N.
 N_MAX = 2**53
-
-
-def _is_finite_number(value) -> bool:
-    """A finite real number; JSON ``true``/``false`` are not numbers here."""
-    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
-    return real and math.isfinite(value)
-
-
-def _is_whole(value, least: int = 1) -> bool:
-    """A finite number >= ``least`` with no fractional part (2.0 counts, 1.7
-    and true do not)."""
-    return _is_finite_number(value) and value == int(value) >= least
 
 
 @dataclass(frozen=True)
@@ -386,6 +376,7 @@ def run_zeno_time(cfg: SweepConfig) -> Table:
 
 
 _POINT = ("N", "omega0", "gamma", "tau")
+_SURVIVAL_POINT = _POINT + ("m", "interleaved")  # interleaved: the (S, E, S, E) register
 
 
 @dataclass(frozen=True)
@@ -399,7 +390,8 @@ class VerifyCheck:
     comparison: str  # "le" or "ge"
     detail: str = ""
     seconds: float = 0.0
-    worst_at: tuple | None = None  # (N, omega0, gamma, tau) of the measured value
+    worst_at: tuple | None = None  # the point of the measured value, named by ``point``
+    point: tuple[str, ...] = _POINT
 
     @property
     def passed(self) -> bool:
@@ -416,7 +408,7 @@ class VerifyCheck:
         )
         notes = [self.detail] if self.detail else []
         if self.worst_at is not None:
-            notes.append(f"worst at ({', '.join(_POINT)})={self.worst_at}")
+            notes.append(f"worst at ({', '.join(self.point)})={self.worst_at}")
         if notes:
             text += f" [{'; '.join(notes)}]"
         return text
@@ -449,7 +441,7 @@ class VerifyReport:
                     "passed": c.passed,
                     "detail": c.detail,
                     "seconds": c.seconds,
-                    "worst_at": c.worst_at and dict(zip(_POINT, c.worst_at)),
+                    "worst_at": c.worst_at and dict(zip(c.point, c.worst_at)),
                 }
                 for c in self.checks
             ],
@@ -529,7 +521,8 @@ def _survival_closed_vs_collapse(seed: int) -> tuple[float, tuple]:
     """The closed-form survival against the collapse loop, on random system
     and environment states, N in {1, 2, 3} and the two-pair model on an
     interleaved (S, E, S, E) register: the largest relative gap, and the
-    point where it sits (the interleaved model shares N = 2's rates)."""
+    point where it sits, with its m and whether the register was the
+    interleaved one (which shares N = 2's rates)."""
     rng = np.random.default_rng(seed)
     rates = [tuple(map(float, rng.uniform(0.5, 1.5, 2))) for _ in range(3)]
     models = [build_dephasing_model(n, *r) for n, r in zip((1, 2, 3), rates)]
@@ -544,7 +537,8 @@ def _survival_closed_vs_collapse(seed: int) -> tuple[float, tuple]:
         )
     )
     gaps = []
-    for model, (omega0, gamma) in zip(models, rates + [rates[1]]):
+    interleaved = (False, False, False, True)
+    for model, (omega0, gamma), mixed in zip(models, rates + [rates[1]], interleaved):
         n = model.n_qubits // 2
         projector = ZenoProjector(_random_pure(rng, n, SYSTEM))
         env0 = _random_pure(rng, n, ENVIRONMENT)
@@ -553,7 +547,7 @@ def _survival_closed_vs_collapse(seed: int) -> tuple[float, tuple]:
             schedule = ZenoSchedule(m, tau)
             closed = survival_probability_exact(model, projector, env0, schedule)
             loop = _survival_by_collapse(model, projector, env0, schedule)
-            gaps.append((abs(closed - loop) / loop, (n, omega0, gamma, tau)))
+            gaps.append((abs(closed - loop) / loop, (n, omega0, gamma, tau, m, mixed)))
     return _largest_gap(gaps)
 
 
@@ -586,14 +580,15 @@ def _quadratic_order(seed: int) -> tuple[float, None]:
 
 class _Check(NamedTuple):
     """One row of the verification suite; ``measure(seed)`` returns the
-    value compared against the threshold and the (N, omega0, gamma, tau)
-    where it sits, or None for a check without one worst point."""
+    value compared against the threshold and the point where it sits, with
+    the keys ``point`` names, or None for a check without one worst point."""
 
     name: str
     threshold: float
     comparison: str
     detail: str
     measure: Callable[[int], tuple[float, tuple | None]]
+    point: tuple[str, ...] = _POINT
 
 
 _CHECKS = (
@@ -623,6 +618,7 @@ _CHECKS = (
         "survival_closed_vs_collapse", 1e-12, "le",
         "N<=3 and (S,E,S,E), m in {1,50}, random states",
         _survival_closed_vs_collapse,
+        _SURVIVAL_POINT,
     ),
     _Check(
         "zeno_monotonic", -1e-12, "ge", "m doubling from 1 to 256",
@@ -653,7 +649,7 @@ def run_verify(cfg: SweepConfig) -> VerifyReport:
         checks.append(
             VerifyCheck(
                 check.name, measured, tol[check.name], check.comparison,
-                check.detail, seconds, worst_at,
+                check.detail, seconds, worst_at, check.point,
             )
         )
     return VerifyReport(checks)

@@ -652,13 +652,18 @@ def test_solver_equals_hermitian_svd_pseudo_inverse(kind, n, input_state):
     assert sol.gram_condition == s[0] / s[-1]
 
 
-@pytest.mark.parametrize("dense", [False, True])
-def test_minimize_rejects_state_on_wrong_register(dense):
+@pytest.mark.parametrize("generator_off", [False, True])
+def test_minimize_rejects_state_on_wrong_register(generator_off):
+    """A state off the basis's register is refused by the label check;
+    with basis and state on one register, a generator on another is
+    refused where the state is evolved."""
     model, h_hat = model_setup(2, 1.0, 1.0)
-    if dense:
-        h_hat = to_dense(h_hat)
-    basis = EnvOperatorBasis.single_qubit_paulis(model.labels)
-    with pytest.raises(DimensionMismatchError):
+    labels, match = model.labels, "basis register does not match"
+    if generator_off:
+        labels = build_dephasing_model(1, 1.0, 1.0).labels
+        match = "generator does not match the state register"
+    basis = EnvOperatorBasis.single_qubit_paulis(labels)
+    with pytest.raises(DimensionMismatchError, match=match):
         minimize_qfi_bound(h_hat, basis, product_input(1), 0.5)
 
 

@@ -680,11 +680,24 @@ def _solver_gap(point, system, reference) -> float:
     return (solved - reference) / abs(reference)
 
 
+def test_survival_check_names_an_interleaved_worst_point():
+    """At seed 5 the survival check's largest gap sits on the interleaved
+    (S, E, S, E) register at m = 50; the line and the JSON say so."""
+    report = run_verify(SweepConfig(mode="verify", seed=5))
+    check = next(c for c in report.checks if c.name == "survival_closed_vs_collapse")
+    assert check.worst_at[0] == 2 and check.worst_at[4:] == (50, True)
+    assert check.line().endswith(", 50, True)]")
+    payload = {c["name"]: c for c in json.loads(report.to_json_text())["checks"]}
+    point = payload["survival_closed_vs_collapse"]["worst_at"]
+    assert (point["N"], point["m"], point["interleaved"]) == (2, 50, True)
+
+
 def test_verify_reports_the_worst_point(default_report):
     """The three solver checks, the channel check and the survival check
     name the (N, omega0, gamma, tau) of their measured value, in the line
-    and in the JSON; re-solving a solver check there gives the measured
-    value back."""
+    and in the JSON, and the survival check also its m and whether its
+    register was the interleaved one; re-solving a solver check there gives
+    the measured value back."""
     by_name = {c.name: c for c in default_report.checks}
     payload = {c["name"]: c for c in json.loads(default_report.to_json_text())["checks"]}
     located = (
@@ -698,16 +711,17 @@ def test_verify_reports_the_worst_point(default_report):
         if check.name not in located:
             assert check.worst_at is None and payload[check.name]["worst_at"] is None
             continue
-        n, omega0, gamma, tau = at = check.worst_at
-        assert f"worst at (N, omega0, gamma, tau)={at}" in check.line()
-        assert payload[check.name]["worst_at"] == dict(
-            N=n, omega0=omega0, gamma=gamma, tau=tau
-        )
+        at = check.worst_at
+        extra = ("m", "interleaved") if check.name == "survival_closed_vs_collapse" else ()
+        keys = ("N", "omega0", "gamma", "tau") + extra
+        assert f"worst at ({', '.join(keys)})={at}" in check.line()
+        assert payload[check.name]["worst_at"] == dict(zip(keys, at, strict=True))
 
     assert by_name["channel_vs_partial_trace"].worst_at[:3] == (1, 1.0, 1.0)
-    n, omega0, gamma, tau = by_name["survival_closed_vs_collapse"].worst_at
+    n, omega0, gamma, tau, m, interleaved = by_name["survival_closed_vs_collapse"].worst_at
     assert n in (1, 2, 3) and 0.5 <= min(omega0, gamma) <= max(omega0, gamma) <= 1.5
     assert 0.05 <= tau <= 0.3
+    assert m in (1, 50) and interleaved in (False, True) and (n == 2 or not interleaved)
 
     at = by_name["ansatz_bounds_true_qfi"].worst_at
     model = build_dephasing_model(*at[:3])

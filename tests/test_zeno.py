@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zeno_qfi import zeno
+from zeno_qfi import channels, zeno
 from zeno_qfi.channels import (
     DilatedEvolution,
     build_dephasing_model,
@@ -57,10 +57,24 @@ def one_pair_setup(omega0=1.0, gamma=1.0):
 
 
 def test_schedule_validation():
-    with pytest.raises(ValueError):
-        ZenoSchedule(0, 0.1)
+    for m in (0, 2.5, True, math.nan, "3"):
+        with pytest.raises(ValueError):
+            ZenoSchedule(m, 0.1)
     with pytest.raises(ValueError):
         ZenoSchedule(3, 0.0)
+
+
+def test_schedule_takes_a_whole_m_on_both_routes():
+    """m = 2.0 is stored as the int 2, so the closed form and the collapse
+    loop both run two measurements; 2.5 used to reach the closed form as
+    "2.5 measurements" and a TypeError in the loop."""
+    schedule = ZenoSchedule(2.0, 0.3)
+    assert type(schedule.m) is int and schedule == ZenoSchedule(2, 0.3)
+    model, projector, env0 = one_pair_setup()
+    closed = survival_probability_exact(model, projector, env0, schedule)
+    loop = _survival_by_collapse(model, projector, env0, schedule)
+    assert closed == survival_probability_exact(model, projector, env0, ZenoSchedule(2, 0.3))
+    assert closed == pytest.approx(loop, rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize("tau", [math.inf, -math.inf, math.nan])
@@ -252,6 +266,33 @@ def test_closed_form_with_plus_environment_skips_empty_x():
     assert_closed_form_matches_collapse(model, projector, env0, ZenoSchedule(40, 0.1))
 
 
+def sylvester_hadamard(n):
+    """The dense +-1 Hadamard matrix H[x, e] = (-1)^popcount(x & e)."""
+    index = np.arange(2**n)
+    parity = np.bitwise_count(index[:, None] & index[None, :]) % 2
+    return 1.0 - 2.0 * parity
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_x_basis_weights_match_a_dense_hadamard(n):
+    """The Walsh-Hadamard transform against one dense +-1 matmul, on
+    random environment states."""
+    rng = np.random.default_rng(50 + n)
+    env0 = random_state(rng, n, ENVIRONMENT)
+    dense = np.abs(sylvester_hadamard(n) @ env0.amplitudes) ** 2 / 2**n
+    np.testing.assert_allclose(zeno._x_basis_weights(env0), dense, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("n", [5, 9])
+def test_x_basis_weights_are_exact_on_zero_and_plus(n):
+    """|0...0> gives p = 2^-N exactly, and |+>^N exact zeros off x = 0:
+    every step of the transform adds or subtracts two equal amplitudes."""
+    zero = zeno._x_basis_weights(zero_environment(n))
+    assert np.array_equal(zero, np.full(2**n, 2.0**-n))
+    plus = zeno._x_basis_weights(plus_state(n, ENVIRONMENT))
+    assert plus[1:].max() == 0.0 and plus[0] == pytest.approx(1.0, abs=1e-15)
+
+
 def test_closed_form_at_a_million_measurements():
     rng = np.random.default_rng(6)
     model = build_dephasing_model(2, 1.0, 0.6)
@@ -416,6 +457,7 @@ def test_lists_outside_the_pair_form_reach_the_loop(monkeypatch, labels, strings
     monkeypatch.setattr(zeno, "evolve", counted_evolve)
     rng = np.random.default_rng(9)
     model = DilatedEvolution(labels, [(1.0, PauliTerm(1.0, s)) for s in strings])
+    assert model._pair_form is None
     projector = ZenoProjector(random_state(rng, labels.count(SYSTEM), SYSTEM))
     env0 = random_state(rng, labels.count(ENVIRONMENT), ENVIRONMENT)
     p = survival_probability_exact(model, projector, env0, ZenoSchedule(5, 0.2))
@@ -447,6 +489,39 @@ def test_partial_pairings_stay_on_the_closed_form(monkeypatch, labels, strings):
             patch.setattr(zeno, "evolve", no_evolve)
             closed = survival_probability_exact(*args)
         assert closed == pytest.approx(loop, rel=1e-12, abs=0)
+
+
+def test_pair_form_reads_rates_pairs_and_lone_axes():
+    """System 0 coupled to environment 2, system 1 uncoupled: theta holds
+    omega +- gamma, one kernel row for the uncoupled qubit, and
+    environment 0 and 1 are lone."""
+    labels = (ENVIRONMENT, SYSTEM, SYSTEM, ENVIRONMENT, ENVIRONMENT)
+    form = paired_model(labels, [2, None], [0.25, 0.5], [0.75, 0.0])._pair_form
+    np.testing.assert_array_equal(form.theta, [[1.0, -0.5], [0.5, 0.5]])
+    assert form.theta.dtype == np.longdouble
+    assert (form.rows, form.order, form.lone) == ((2, 1), (0,), (0, 1))
+
+
+def test_pair_form_is_read_once_per_evolution(monkeypatch):
+    """Repeated survival calls on one evolution read its rotation list
+    once; a new evolution reads its own."""
+    reads = []
+    real_read = channels._read_pair_form
+
+    def counted_read(u):
+        reads.append(u)
+        return real_read(u)
+
+    monkeypatch.setattr(channels, "_read_pair_form", counted_read)
+    model, projector, env0 = one_pair_setup()
+    values = {
+        survival_probability_exact(model, projector, env0, ZenoSchedule(m, 0.2))
+        for m in (1, 5, 5, 40)
+    }
+    assert reads == [model] and len(values) == 3
+    other = build_dephasing_model(1, 1.0, 1.0)
+    survival_probability_exact(other, projector, env0, ZenoSchedule(5, 0.2))
+    assert reads == [model, other]
 
 
 @settings(derandomize=True, deadline=None, max_examples=25, database=None)
@@ -721,10 +796,12 @@ def test_zeno_time_arithmetic():
 
 
 def test_zeno_time_validation():
-    with pytest.raises(ValueError):
-        zeno_time(0, 1.0)
+    for m in (0, 2.5, True):
+        with pytest.raises(ValueError):
+            zeno_time(m, 1.0)
     with pytest.raises(ValueError):
         zeno_time(10, 0.0)
+    assert zeno_time(100.0, 4.0) == zeno_time(100, 4.0)
 
 
 def test_zeno_time_consistent_with_quadratic_form():
