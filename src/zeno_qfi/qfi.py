@@ -471,19 +471,15 @@ def minimize_qfi_bound(
     # sort, so the products below round exactly as its pseudo-inverse does.
     order = np.argsort(np.abs(lam))[::-1]
     lam, u = lam[order], np.take(u, order, axis=1)
+    # An all-zero G keeps nothing: zero coefficients, rank 0 and an
+    # infinite condition.
     s = np.abs(lam)
-    s_max = float(s.max(initial=0.0))
-    if s_max == 0.0:
-        coeff = np.zeros(len(cross))
-        condition = float("inf")
-        rank = 0
-    else:
-        kept = s > GRAM_CUTOFF * s_max
-        inv = np.where(kept, 1.0 / np.where(kept, lam, 1.0), 0.0)
-        coeff = -(u @ (inv * (u.T @ cross)))
-        s_min = float(s.min())
-        condition = s_max / s_min if s_min > 0 else float("inf")
-        rank = int(kept.sum())
+    s_max, s_min = float(s[0]), float(s[-1])
+    kept = s > GRAM_CUTOFF * s_max
+    inv = np.where(kept, 1.0 / np.where(kept, lam, 1.0), 0.0)
+    coeff = -(u @ (inv * (u.T @ cross)))
+    condition = s_max / s_min if s_min > 0 else float("inf")
+    rank = int(kept.sum())
     residual = float(np.linalg.norm(gram @ coeff + cross))
     return VariationalSolution(
         coeff, _bound_at(coeff, h_variance, gram, cross), condition, rank, residual

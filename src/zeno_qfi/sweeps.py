@@ -80,9 +80,14 @@ _DEFAULT_N = {
     "verify": (),
 }
 
-# The largest qubit count a float64 holds exactly; the sweeps evaluate the
-# closed forms on a float64 array of N.
+# The largest count a float64 holds exactly; the sweeps evaluate the closed
+# forms on a float64 array of N, and the Zeno time on float(m).
 N_MAX = 2**53
+
+
+def _above_n_max(value) -> bool:
+    """A number above ``N_MAX``, an int too large for a float included."""
+    return isinstance(value, numbers.Real) and value > N_MAX
 
 
 @dataclass(frozen=True)
@@ -109,11 +114,13 @@ class SweepConfig:
             raise ConfigError("omega0_tau must be a positive finite number")
         if self.format not in ("csv", "json"):
             raise ConfigError("format must be 'csv' or 'json'")
+        if _above_n_max(self.m):
+            raise ConfigError(f"m must be at most 2**53 = {N_MAX}")
         if not _is_whole(self.m):
             raise ConfigError("m must be a positive integer")
         object.__setattr__(self, "m", int(self.m))
         if not _is_whole(self.seed, least=0):
-            raise ConfigError("seed must be a non-negative integer")
+            raise ConfigError("seed must be a non-negative integer in the float64 range")
         object.__setattr__(self, "seed", int(self.seed))
         path = self.output_path
         if not (path is None or (isinstance(path, str) and path)):
@@ -135,10 +142,10 @@ class SweepConfig:
             object.__setattr__(self, "n_list", _DEFAULT_N[self.mode])
         else:
             ns = tuple(self.n_list) if isinstance(self.n_list, Iterable) else ()
+            if any(_above_n_max(n) for n in ns):
+                raise ConfigError(f"N_list entries must be at most 2**53 = {N_MAX}")
             if not (ns and all(_is_whole(n) for n in ns)):
                 raise ConfigError("N_list must be a nonempty list of positive integers")
-            if max(ns) > N_MAX:
-                raise ConfigError(f"N_list entries must be at most 2**53 = {N_MAX}")
             object.__setattr__(self, "n_list", tuple(dict.fromkeys(int(n) for n in ns)))
         if not isinstance(self.tolerances, dict):
             raise ConfigError("tolerances must be an object mapping names to numbers")

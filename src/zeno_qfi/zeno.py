@@ -16,7 +16,8 @@ P_m = |K^m env0|^2.
   The pairs and rates are read once per evolution, as
   ``DilatedEvolution._pair_form``.
 - Any other rotation list runs the collapse loop ``_survival_by_collapse``
-  (evolve, project, record the squared norm, renormalize), which costs
+  (K applied m times to the environment vector: evolve psi0 x v, contract
+  with psi0*, record the squared norm, renormalize), which costs
   O(m 2^n).  The loop is also the reference the closed form is checked
   against, in the tests and in ``verify``.
 """
@@ -31,7 +32,7 @@ from math import isfinite, sqrt
 
 import numpy as np
 
-from .channels import DilatedEvolution, evolve
+from .channels import DilatedEvolution, _evolved_amplitudes
 from .dense import DenseOperator, check_dense_budget
 from .exceptions import DimensionMismatchError, HermiticityError
 from .paulis import OperatorSum, PauliTerm, apply_operator, variance
@@ -40,7 +41,8 @@ from .states import (
     SYSTEM,
     StateVector,
     Subsystem,
-    from_system_env_matrix,
+    _system_env_join,
+    _system_env_split,
     system_env_matrix,
     tensor_state,
 )
@@ -62,9 +64,10 @@ class ZenoProjector:
 
 
 def _is_finite_number(value) -> bool:
-    """A finite real number; ``True``/``False`` are not numbers here."""
+    """A finite real number in the float64 range; ``True``/``False`` are
+    not numbers here, and neither is an int too large for a float."""
     real = isinstance(value, numbers.Real) and not isinstance(value, bool)
-    return real and isfinite(value)
+    return real and abs(value) <= sys.float_info.max
 
 
 def _is_whole(value, least: int = 1) -> bool:
@@ -92,23 +95,6 @@ class ZenoSchedule:
             )
 
 
-def _project_system(
-    state: StateVector, psi0: StateVector
-) -> tuple[np.ndarray, float]:
-    """Project onto |psi0>_S x (anything)_E by contracting system indices.
-
-    Returns the projected (system, environment) matrix (unnormalized) and
-    the squared norm captured by the projection.  No dense projector is
-    built.
-    """
-    mat = system_env_matrix(state)
-    if mat.shape[0] != psi0.dim:
-        raise DimensionMismatchError("projector does not match the system register")
-    env_vec = psi0.amplitudes.conj() @ mat
-    weight = float(np.vdot(env_vec, env_vec).real)
-    return np.outer(psi0.amplitudes, env_vec), weight
-
-
 def _check_register(
     u: DilatedEvolution, projector: ZenoProjector, env0: StateVector
 ) -> None:
@@ -129,8 +115,11 @@ def _survival_by_collapse(
     env0: StateVector,
     schedule: ZenoSchedule,
 ) -> float:
-    """Survival by state-vector collapse, for any rotation list: m times
-    evolve, project onto psi0, record the captured weight, renormalize.
+    """Survival by collapse, for any rotation list: the filtered map K
+    applied m times to the environment vector v, from v = env0.  Each step
+    joins psi0 x v into register order, evolves the whole register by the
+    rotation list, contracts the system axes with psi0* to give K v,
+    records the captured weight w = |K v|^2 and goes on with K v / sqrt(w).
 
     A step that captures no weight (below 1e-300) ends the run with 0.0.
     If every weight is positive but their running product falls below the
@@ -139,12 +128,13 @@ def _survival_by_collapse(
     reaches 0), so no value returned would be the survival.
     """
     _check_register(u, projector, env0)
-    block = tensor_state(projector.psi0, env0)
-    state = from_system_env_matrix(system_env_matrix(block), u.labels)
+    psi0 = projector.psi0.amplitudes
+    split = system_env_matrix(tensor_state(projector.psi0, env0))
     probability = 1.0
     for step in range(1, schedule.m + 1):
-        state = evolve(u, state, schedule.tau)
-        projected, weight = _project_system(state, projector.psi0)
+        amps = _evolved_amplitudes(u, _system_env_join(split, u.labels), schedule.tau)
+        env_vec = psi0.conj() @ _system_env_split(amps, u.labels)
+        weight = float(np.vdot(env_vec, env_vec).real)
         if weight < 1e-300:
             return 0.0
         # The captured weight is a probability; above 1 it is rounding.
@@ -155,7 +145,7 @@ def _survival_by_collapse(
                 f"({probability:.3e} < {sys.float_info.min:.3e}), "
                 f"with every captured weight positive"
             )
-        state = from_system_env_matrix(projected / sqrt(weight), state.labels)
+        split = np.outer(psi0, env_vec) / sqrt(weight)
     return probability
 
 

@@ -324,6 +324,19 @@ def test_solver_reports_rank_and_residual(n, gamma, input_state, basis_kind, ran
     assert 0.0 <= sol.residual < 1e-12
 
 
+def test_solver_on_an_all_zero_gram():
+    """Decoupled, with Z_E alone as the basis: the environment stays in
+    |0>, so the one element has no covariance and every |lambda| is 0.
+    Nothing is kept: rank 0, an infinite condition, a zero coefficient and
+    the bare bound 4 Var(Z_S / 2) = 1 on |+>."""
+    model, h_hat = model_setup(1, 1.0, 0.0)
+    basis = EnvOperatorBasis((OperatorSum.from_term(1.0, "IZ"),), model.labels)
+    sol = minimize_qfi_bound(h_hat, basis, product_input(1), 0.5)
+    assert (sol.rank, sol.gram_condition) == (0, math.inf)
+    np.testing.assert_array_equal(sol.coefficients, [0.0])
+    assert sol.qfi == 1.0 and 0.0 <= sol.residual < 1e-15
+
+
 def stack_reference(state, base_vec, vecs):
     """Reference quadratic from an explicit k x 2^n stack V of applied
     vectors: G = Re V V^dag - m m^T, the cross covariances with the

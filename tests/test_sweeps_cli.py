@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import runpy
 import subprocess
 import sys
 import warnings
@@ -390,6 +391,20 @@ def test_cli_rejects_bad_config_file(tmp_path):
     assert result.returncode == 2
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [("{not json", "cannot read config"), ("[1, 2]", "config file must contain a JSON object")],
+)
+def test_cli_config_file_must_hold_a_json_object(tmp_path, capsys, text, message):
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    assert run(["verify", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"config error: {message}")
+    assert captured.out == ""
+
+
 def test_cli_rejects_misspelled_tolerance_key(tmp_path, capsys):
     path = tmp_path / "typo.json"
     path.write_text(json.dumps({"mode": "verify", "tolerances": {"solver_vs_sdl": 1e-30}}))
@@ -545,6 +560,26 @@ def test_cli_rejects_n_above_two_to_the_53(tmp_path, capsys, n):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("flag, key", [("--m", "m"), ("--n", "N_list"), ("--seed", "seed")])
+def test_cli_rejects_a_400_digit_count(capsys, flag, key):
+    """A count no float holds is one config error line, not an
+    OverflowError traceback."""
+    assert run(["zeno-time", "--gamma", "1", "--n", "1", flag, str(10**400)]) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"config error: {key} ")
+    assert captured.out == ""
+
+
+def test_config_caps_m_at_two_to_the_53():
+    """The Zeno time is computed from float(m), so m has N's cap: 2**53 + 1
+    used to run and print an m the times were not computed for."""
+    assert SweepConfig(mode="zeno-time", m=2**53).m == 2**53
+    for m in (2**53 + 1, 1e200, 10**400):
+        with pytest.raises(ConfigError, match=f"m must be at most 2\\*\\*53 = {2**53}"):
+            SweepConfig(mode="zeno-time", m=m)
+
+
 def test_cli_accepts_whole_floats_for_m_and_n(tmp_path, capsys):
     """m and the entries of N_list pass the same check: 2.0 runs as 2."""
     outputs = []
@@ -586,6 +621,53 @@ def test_cli_unwritable_output_is_a_config_error(tmp_path, capsys, mode):
         assert lines[0].startswith(f"config error: cannot write {out}: ")
         assert captured.out == ""
         assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("mode", ["verify", "qfi-vs-gamma"])
+def test_cli_failed_write_is_a_config_error(capsys, mode):
+    """/dev/full opens but refuses the write: exit 2, with the config error
+    as the last stderr line, after any notes."""
+    assert run([mode, "--n", "1", "--out", "/dev/full"]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert lines[-1].startswith("config error: cannot write /dev/full: ")
+
+
+def test_cli_failed_cross_check_exits_one(monkeypatch, capsys):
+    """A solver that disagrees with the closed forms stops the qfi-vs-gamma
+    sweep: exit 1, one ``error:`` line and no table."""
+    monkeypatch.setattr(sweeps, "_solver_vs_closed_form", lambda grid, taus: (1.0, None))
+    assert run(["qfi-vs-gamma", "--n", "1"]) == 1
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: solver cross-check failed at N=1")
+    assert captured.out == ""
+
+
+def test_cli_verify_writes_its_json_report(tmp_path, capsys):
+    """verify --out prints the same lines and writes the JSON report: the
+    nine checks in order, each with its seconds and worst point."""
+    assert run(["verify"]) == 0
+    plain = capsys.readouterr()
+    path = tmp_path / "report.json"
+    assert run(["verify", "--out", str(path)]) == 0
+    written = capsys.readouterr()
+    assert (written.out, written.err) == (plain.out, "")
+    payload = json.loads(path.read_text())
+    assert payload["all_passed"] is True
+    assert [c["name"] for c in payload["checks"]] == list(DEFAULT_TOLERANCES)
+    assert len(payload["checks"]) == 9
+    for check in payload["checks"]:
+        assert check["seconds"] >= 0.0 and "worst_at" in check
+
+
+def test_module_entry_point_runs_verify(monkeypatch, capsys):
+    """``python -m zeno_qfi verify``, run in this process."""
+    monkeypatch.setattr(sys, "argv", ["zeno_qfi", "verify"])
+    with pytest.raises(SystemExit) as stop:
+        runpy.run_module("zeno_qfi", run_name="__main__")
+    assert stop.value.code == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "verification PASSED"
 
 
 # ---- the N-axis grid against the per-row loop ----

@@ -16,7 +16,7 @@ from zeno_qfi.channels import (
     generator,
     kraus_from_dilation,
 )
-from zeno_qfi.exceptions import DenseCapError
+from zeno_qfi.exceptions import DenseCapError, DimensionMismatchError
 from zeno_qfi.paulis import OperatorSum, PauliTerm, to_dense, variance
 from zeno_qfi.qfi import (
     EnvOperatorBasis,
@@ -57,7 +57,7 @@ def one_pair_setup(omega0=1.0, gamma=1.0):
 
 
 def test_schedule_validation():
-    for m in (0, 2.5, True, math.nan, "3"):
+    for m in (0, 2.5, True, math.nan, "3", 10**400):
         with pytest.raises(ValueError):
             ZenoSchedule(m, 0.1)
     with pytest.raises(ValueError):
@@ -307,14 +307,15 @@ def test_closed_form_at_a_million_measurements():
     assert values[2] == 0.0  # log P is below -1e4: no double is that small
 
 
+def no_loop_kernel(*args):
+    raise AssertionError("collapse loop kernel called")
+
+
 def test_closed_form_dispatch_never_runs_the_loop(monkeypatch):
     """Dilations diagonal in Z_S x X_E take the closed form, so they never
-    call evolve; any other rotation list reaches the collapse loop."""
-
-    def no_evolve(*args):
-        raise AssertionError("evolve called")
-
-    monkeypatch.setattr(zeno, "evolve", no_evolve)
+    evolve the register; any other rotation list reaches the collapse
+    loop."""
+    monkeypatch.setattr(zeno, "_evolved_amplitudes", no_loop_kernel)
     schedule = ZenoSchedule(50, 0.1)
     block = build_dephasing_model(2, 1.0, 1.0)
     for model in (block, interleaved_model(2, 1.0, 1.0), swapped_model()):
@@ -325,7 +326,7 @@ def test_closed_form_dispatch_never_runs_the_loop(monkeypatch):
     mixed = DilatedEvolution(
         (SYSTEM, ENVIRONMENT), ((1.0, PauliTerm(1.0, "ZI")), (1.0, PauliTerm(1.0, "XX")))
     )
-    with pytest.raises(AssertionError, match="evolve called"):
+    with pytest.raises(AssertionError, match="loop kernel called"):
         survival_probability_exact(
             mixed, ZenoProjector(plus_state(1)), zero_environment(1), schedule
         )
@@ -448,13 +449,13 @@ def test_closed_form_factorises_on_large_product_inputs(n):
 )
 def test_lists_outside_the_pair_form_reach_the_loop(monkeypatch, labels, strings):
     calls = []
-    real_evolve = zeno.evolve
+    real_kernel = zeno._evolved_amplitudes
 
-    def counted_evolve(*args):
+    def counted_kernel(*args):
         calls.append(args)
-        return real_evolve(*args)
+        return real_kernel(*args)
 
-    monkeypatch.setattr(zeno, "evolve", counted_evolve)
+    monkeypatch.setattr(zeno, "_evolved_amplitudes", counted_kernel)
     rng = np.random.default_rng(9)
     model = DilatedEvolution(labels, [(1.0, PauliTerm(1.0, s)) for s in strings])
     assert model._pair_form is None
@@ -473,9 +474,6 @@ def test_lists_outside_the_pair_form_reach_the_loop(monkeypatch, labels, strings
     ],
 )
 def test_partial_pairings_stay_on_the_closed_form(monkeypatch, labels, strings):
-    def no_evolve(*args):
-        raise AssertionError("evolve called")
-
     rng = np.random.default_rng(11)
     model = DilatedEvolution(
         labels, [(float(rng.uniform(0.5, 1.5)), PauliTerm(1.0, s)) for s in strings]
@@ -486,7 +484,7 @@ def test_partial_pairings_stay_on_the_closed_form(monkeypatch, labels, strings):
         args = (model, projector, env0, ZenoSchedule(m, 0.1))
         loop = _survival_by_collapse(*args)
         with monkeypatch.context() as patch:
-            patch.setattr(zeno, "evolve", no_evolve)
+            patch.setattr(zeno, "_evolved_amplitudes", no_loop_kernel)
             closed = survival_probability_exact(*args)
         assert closed == pytest.approx(loop, rel=1e-12, abs=0)
 
@@ -554,6 +552,61 @@ def test_collapse_loop_refuses_an_underflowed_product(m, expected):
             survival_probability_exact(*args)
     else:
         assert survival_probability_exact(*args) == pytest.approx(expected, rel=1e-12)
+
+
+def test_collapse_loop_builds_no_state_per_measurement(monkeypatch):
+    """The loop carries the environment vector as an array: the
+    ``StateVector``s it builds do not grow with m, and each of the m steps
+    still evolves all 2^n amplitudes of the register by the rotation
+    list."""
+    model = build_dephasing_model(2, 1.0, 0.7)
+    projector, env0 = ZenoProjector(ghz_state(2)), zero_environment(2)
+    built, evolved = [], []
+    real_init, real_kernel = StateVector.__post_init__, zeno._evolved_amplitudes
+
+    def counted_init(self):
+        built.append(self)
+        real_init(self)
+
+    def counted_kernel(u, amps, t):
+        evolved.append((u, amps.shape, t))
+        return real_kernel(u, amps, t)
+
+    monkeypatch.setattr(StateVector, "__post_init__", counted_init)
+    monkeypatch.setattr(zeno, "_evolved_amplitudes", counted_kernel)
+    counts = []
+    for m in (1, 50):
+        built.clear()
+        evolved.clear()
+        _survival_by_collapse(model, projector, env0, ZenoSchedule(m, 0.2))
+        counts.append(len(built))
+        assert evolved == [(model, (2**4,), 0.2)] * m
+    assert counts[0] == counts[1]
+
+
+def test_collapse_loop_returns_zero_when_a_step_captures_nothing(monkeypatch):
+    """A step whose captured weight is below 1e-300 ends the run with 0.0,
+    whatever the weights before it."""
+    monkeypatch.setattr(zeno, "_evolved_amplitudes", lambda u, amps, t: 0.0 * amps)
+    model, projector, env0 = one_pair_setup()
+    assert _survival_by_collapse(model, projector, env0, ZenoSchedule(3, 0.1)) == 0.0
+
+
+@pytest.mark.parametrize("route", [survival_probability_exact, _survival_by_collapse])
+def test_register_refusals_on_both_routes(route):
+    """The closed form and the collapse loop refuse through one check: an
+    environment state on system labels, an unnormalised one, and a
+    projector or environment register that does not match the evolution."""
+    model, projector, env0 = one_pair_setup()
+    schedule = ZenoSchedule(2, 0.1)
+    with pytest.raises(ValueError, match="environment qubits only"):
+        route(model, projector, plus_state(1), schedule)
+    loose = StateVector(2 * env0.amplitudes, env0.labels)
+    with pytest.raises(ValueError, match="environment state must be normalized"):
+        route(model, projector, loose, schedule)
+    for wrong in ((ZenoProjector(ghz_state(2)), env0), (projector, zero_environment(2))):
+        with pytest.raises(DimensionMismatchError, match="does not match the evolution"):
+            route(model, *wrong, schedule)
 
 
 def test_zeno_convergence_in_measurement_number():
@@ -796,7 +849,7 @@ def test_zeno_time_arithmetic():
 
 
 def test_zeno_time_validation():
-    for m in (0, 2.5, True):
+    for m in (0, 2.5, True, 10**400):
         with pytest.raises(ValueError):
             zeno_time(m, 1.0)
     with pytest.raises(ValueError):
