@@ -1,5 +1,10 @@
 """Pauli-string operators and their action on state vectors.
 
+A string's algebra (products, commutation, supports and the solver's frame
+conjugation) reads one representation, the symplectic (x, z) bit masks of
+``_masks`` (Aaronson and Gottesman, PRA 70, 052328 (2004)): the string is
+i^{n_Y} X^x Z^z, with qubit 0 on the highest bit.
+
 Every Pauli string reaches a state vector through one flip kernel,
 ``_apply_string``: seen as a (2,)*n tensor, the state's axes under X and Y
 are reversed, one half of each axis under Z or Y is negated, and the whole
@@ -38,21 +43,15 @@ PAULI_MATRICES = {
     "Z": np.array([[1, 0], [0, -1]], dtype=np.complex128),
 }
 
-# (a, b) -> (phase, c) with a.b = phase * c for single-qubit Paulis.
-_SINGLE_PRODUCTS = {
-    ("X", "Y"): (1j, "Z"),
-    ("Y", "Z"): (1j, "X"),
-    ("Z", "X"): (1j, "Y"),
-    ("Y", "X"): (-1j, "Z"),
-    ("Z", "Y"): (-1j, "X"),
-    ("X", "Z"): (-1j, "Y"),
-}
-
 HERMITICITY_TOL = 1e-12
 COEFF_PRUNE_TOL = 1e-15
 IMAG_RESIDUE_TOL = 1e-10
 
-_SUPPORT_BITS = str.maketrans("IXYZ", "0111")
+_X_BITS = str.maketrans("IXYZ", "0110")
+_Z_BITS = str.maketrans("IXYZ", "0011")
+# The letter of one qubit's (x, z) bits, indexed by x + 2 z.
+_LETTERS = "IXZY"
+_POWERS_OF_I = (1 + 0j, 1j, -1 + 0j, -1j)
 # The one-qubit Clifford that turns a qubit's letter into Z:
 # H X H = Z and (H S^dag) Y (H S^dag)^dag = Z.
 _TO_Z = {
@@ -83,23 +82,38 @@ class PauliTerm:
         return len(self.factors)
 
 
+def _masks(factors: str) -> tuple[int, int]:
+    """The (x, z) bit masks of a Pauli string: the qubits under X or Y and
+    those under Z or Y, qubit 0 on the highest bit.  The empty string has
+    masks 0."""
+    x, z = factors.translate(_X_BITS), factors.translate(_Z_BITS)
+    return int(x or "0", 2), int(z or "0", 2)
+
+
+def _string(x: int, z: int, n: int) -> str:
+    """The n-qubit Pauli string with masks x, z (the inverse of ``_masks``)."""
+    bits = (n - 1 - q for q in range(n))
+    return "".join(_LETTERS[(x >> b & 1) + 2 * (z >> b & 1)] for b in bits)
+
+
+def _commute(a: tuple[int, int], b: tuple[int, int]) -> bool:
+    """Whether the strings with masks a and b commute: they anticommute on
+    each qubit in x_a & z_b or in z_a & x_b, but not in both."""
+    return ((a[0] & b[1]) ^ (a[1] & b[0])).bit_count() % 2 == 0
+
+
 def pauli_product(f1: str, f2: str) -> tuple[complex, str]:
     """Product of two Pauli strings as (phase, factors), f1 acting first on
-    the left: result = f1 . f2."""
+    the left: result = f1 . f2.  With each string i^{n_Y} X^x Z^z, the
+    product has masks x1 ^ x2, z1 ^ z2 and phase
+    i^{n_Y1 + n_Y2 - n_Y + 2 |z1 & x2|}."""
     if len(f1) != len(f2):
         raise DimensionMismatchError("Pauli strings of unequal length")
-    phase = 1.0 + 0.0j
-    chars = []
-    for a, b in zip(f1, f2):
-        if a == "I":
-            chars.append(b)
-        elif b == "I" or a == b:
-            chars.append("I" if a == b else a)
-        else:
-            p, c = _SINGLE_PRODUCTS[(a, b)]
-            phase *= p
-            chars.append(c)
-    return phase, "".join(chars)
+    (x1, z1), (x2, z2) = _masks(f1), _masks(f2)
+    x, z = x1 ^ x2, z1 ^ z2
+    power = (x1 & z1).bit_count() + (x2 & z2).bit_count() - (x & z).bit_count()
+    power += 2 * (z1 & x2).bit_count()
+    return _POWERS_OF_I[power % 4], _string(x, z, len(f1))
 
 
 def paulis_commute(f1: str, f2: str) -> bool:
@@ -107,8 +121,7 @@ def paulis_commute(f1: str, f2: str) -> bool:
     qubit positions."""
     if len(f1) != len(f2):
         raise DimensionMismatchError("Pauli strings of unequal length")
-    clashes = sum(1 for a, b in zip(f1, f2) if a != "I" and b != "I" and a != b)
-    return clashes % 2 == 0
+    return _commute(_masks(f1), _masks(f2))
 
 
 class OperatorSum:
@@ -161,8 +174,8 @@ class OperatorSum:
     @cached_property
     def mutually_commuting(self) -> bool:
         """Whether every pair of terms commutes."""
-        pairs = combinations(self._terms, 2)
-        return all(paulis_commute(a.factors, b.factors) for a, b in pairs)
+        pairs = combinations([_masks(t.factors) for t in self._terms], 2)
+        return all(_commute(a, b) for a, b in pairs)
 
     @cached_property
     def _frame(self) -> "_Eigenframe | None":
@@ -267,14 +280,14 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _qubitwise_frame(op: OperatorSum) -> _Eigenframe | None:
     """The eigenframe of a sum whose terms carry one letter per qubit, or
     None when two terms carry different letters on a qubit."""
-    n, strings = op.n_qubits, [t.factors for t in op.terms]
-    letters = []
-    for column in zip("I" * n, *strings):
-        used = set(column) - {"I"}
-        if len(used) > 1:
-            return None
-        letters.append(used.pop() if used else "I")
-    letters = "".join(letters)
+    n, masks = op.n_qubits, [_masks(t.factors) for t in op.terms]
+    # The frame's letters are the union of the terms' masks, and a term
+    # agrees with them when it is that union restricted to its support.
+    x = reduce(int.__or__, (m[0] for m in masks), 0)
+    z = reduce(int.__or__, (m[1] for m in masks), 0)
+    if any((x & (xt | zt), z & (xt | zt)) != (xt, zt) for xt, zt in masks):
+        return None
+    letters = _string(x, z, n)
     windows, q = [], 0
     while q < n:
         if letters[q] in _TO_Z:
@@ -286,9 +299,9 @@ def _qubitwise_frame(op: OperatorSum) -> _Eigenframe | None:
             q += 1
     # Terms with overlapping supports share a component, keyed by the
     # union of their support masks.
-    groups: dict[int, list[PauliTerm]] = {}
-    for t in op.terms:
-        mask, members = int(t.factors.translate(_SUPPORT_BITS), 2), [t]
+    groups: dict[int, list[tuple[int, float]]] = {}
+    for t, (xt, zt) in zip(op.terms, masks):
+        mask, members = xt | zt, [(xt | zt, t.coefficient.real)]
         for other in [m for m in groups if m & mask]:
             mask |= other
             members += groups.pop(other)
@@ -300,9 +313,9 @@ def _qubitwise_frame(op: OperatorSum) -> _Eigenframe | None:
     components = []
     for members in groups.values():
         lam = 0.0
-        for t in members:
-            support = (signs[q] for q, ch in enumerate(t.factors) if ch != "I")
-            lam = lam + reduce(np.multiply, support, t.coefficient.real)
+        for support, c in members:
+            axes = (signs[q] for q in range(n) if support >> (n - 1 - q) & 1)
+            lam = lam + reduce(np.multiply, axes, c)
         components.append(lam)
     # A sum with no terms is the zero operator.
     components = components or [np.zeros((1,) * n)]

@@ -46,7 +46,9 @@ from .exceptions import DimensionMismatchError, HermiticityError, PoleProximityE
 from .paulis import (
     OperatorSum,
     PauliTerm,
+    _POWERS_OF_I,
     _applied_vector,
+    _masks,
     pauli_product,
     paulis_commute,
 )
@@ -62,29 +64,11 @@ POLE_TOL = 1e-8
 GRAM_CUTOFF = 1e-10
 SLD_EIGENVALUE_FLOOR = 1e-10
 DENSITY_TOL = 1e-10
-_X_BITS = str.maketrans("IXYZ", "0110")
-_Z_BITS = str.maketrans("IXYZ", "0011")
 
 
 def _odd(bits: np.ndarray) -> np.ndarray:
     """Whether each entry has an odd number of set bits."""
     return (np.bitwise_count(bits) & 1).astype(bool)
-
-
-def _string_masks(factors, coefficients):
-    """(x, z, coef) of Pauli strings for ``_env_gather``: the bit masks of
-    the qubits under X or Y and of those under Z or Y (qubit 0 on the
-    highest bit), and the coefficients times (-i)^{n_Y}, so that a string
-    is coef (-1)^{popcount(e & z)} on the element (e, e ^ x).  An empty
-    string has masks 0."""
-    x = [int(f.translate(_X_BITS) or "0", 2) for f in factors]
-    z = [int(f.translate(_Z_BITS) or "0", 2) for f in factors]
-    coef = [c * (-1j) ** f.count("Y") for f, c in zip(factors, coefficients)]
-    return (
-        np.array(x, dtype=np.intp),
-        np.array(z, dtype=np.intp),
-        np.array(coef, dtype=np.complex128),
-    )
 
 
 def _env_gather(x, z, d_env: int):
@@ -120,26 +104,15 @@ class _EnvProducts:
     owner: np.ndarray | None
 
 
-# C q C^dag for a one-qubit Pauli q under the frame's Clifford C, by the
-# frame letter on that qubit: H swaps X and Z and negates Y, and H S^dag
-# takes X to Y, Y to Z and Z to X.
-_CONJUGATED = {"X": str.maketrans("XZ", "ZX"), "Y": str.maketrans("XYZ", "YZX")}
-
-
-def _in_frame(strings: list[str], letters: str) -> tuple[list[int], list[str]]:
-    """Signs and strings of C q C^dag for the Pauli strings q, where C is
-    the local Clifford of the frame letters ``letters`` ("" for the
-    identity), worked column by column."""
-    if not letters:
-        return [1] * len(strings), strings
-    columns = ["".join(column) for column in zip(*strings)]
-    conjugated = (
-        c.translate(_CONJUGATED[f]) if f in _CONJUGATED else c
-        for c, f in zip(columns, letters)
-    )
-    negated = [c for c, f in zip(columns, letters) if f == "X"]
-    signs = [(-1) ** "".join(q).count("Y") for q in zip(*negated)]
-    return signs or [1] * len(strings), ["".join(q) for q in zip(*conjugated)]
+def _in_frame(x: np.ndarray, z: np.ndarray, letters: str):
+    """Signs and masks of C q C^dag for the Pauli strings q with masks x, z,
+    where C is the local Clifford of the frame letters ``letters`` ("" for
+    the identity): H on an X qubit swaps its x and z bits and negates Y,
+    and H S^dag on a Y qubit takes (x, z) to (x ^ z, x), X to Y to Z to X."""
+    fx, fz = _masks(letters)
+    on_x, on_y = fx & ~fz, fx & fz
+    sign = np.where(_odd(x & z & on_x), -1.0, 1.0)
+    return sign, x ^ ((x ^ z) & on_x) ^ (z & on_y), z ^ ((x ^ z) & fx)
 
 
 def _traces(r: np.ndarray, index: np.ndarray, weight: np.ndarray) -> np.ndarray:
@@ -188,12 +161,13 @@ class EnvOperatorBasis:
             return table
         env = [p for p, l in enumerate(self.labels) if l is ENVIRONMENT]
         terms = [t for op in self.elements for t in op.terms]
-        signs, strings = _in_frame(
-            ["".join(t.factors[p] for p in env) for t in terms], letters
-        )
-        x, z, coef = _string_masks(
-            strings, [sign * t.coefficient for sign, t in zip(signs, terms)]
-        )
+        masks = [_masks("".join(t.factors[p] for p in env)) for t in terms]
+        x, z = np.array(masks, dtype=np.intp).reshape(-1, 2).T
+        sign, x, z = _in_frame(x, z, letters)
+        # Each string in the frame is its coefficient times
+        # (-i)^{n_Y} = i^{3 n_Y} times (-1)^{popcount(e & z)} on (e, e ^ x).
+        coef = sign * np.array([t.coefficient for t in terms], dtype=np.complex128)
+        coef *= np.take(_POWERS_OF_I, 3 * np.bitwise_count(x & z) % 4)
         d_env, n_terms = 2 ** len(env), len(terms)
         # q_t q_u = coef_t coef_u (-1)^{popcount(x_t & z_u)} times the string
         # with masks x_t ^ x_u, z_t ^ z_u; equal strings share one row.
@@ -307,9 +281,10 @@ class VariationalSolution:
 class AnalyticParams:
     """Parameters of the N-pair dephasing-coupling model at one interval.
 
-    ``n`` is one qubit number or a float64 array of them: the closed forms
-    below run one code body on either, bit for bit alike up to N = 2**53,
-    and their pole checks look at gamma * tau only.
+    ``n`` is one whole qubit number >= 1 or a float64 array of them (a
+    bool, a non-finite or a fractional N raises ``ValueError``): the closed
+    forms below run one code body on either, bit for bit alike up to
+    N = 2**53, and their pole checks look at gamma * tau only.
     """
 
     n: int | np.ndarray
@@ -318,8 +293,12 @@ class AnalyticParams:
     tau: float
 
     def __post_init__(self):
-        if np.less(self.n, 1).any():
-            raise ValueError("need at least one qubit")
+        # Refuses a bool, an int too large for a float, and nan (it fails every test).
+        n = np.asarray(self.n)
+        if n.dtype.kind not in "iuf" or not np.logical_and.reduce(
+            (np.floor(n) == n) & (n >= 1) & (n < np.inf), axis=None
+        ):
+            raise ValueError(f"need a whole number of qubits >= 1, got {self.n!r}")
         if not self.tau > 0:
             raise ValueError("interval must be positive")
         if not (isfinite(self.omega0) and isfinite(self.gamma)):

@@ -55,6 +55,7 @@ from .states import (
 from .zeno import (
     ZenoProjector,
     ZenoSchedule,
+    _COUNT_MAX,
     _is_finite_number,
     _is_whole,
     _survival_by_collapse,
@@ -80,14 +81,9 @@ _DEFAULT_N = {
     "verify": (),
 }
 
-# The largest count a float64 holds exactly; the sweeps evaluate the closed
-# forms on a float64 array of N, and the Zeno time on float(m).
-N_MAX = 2**53
-
-
-def _above_n_max(value) -> bool:
-    """A number above ``N_MAX``, an int too large for a float included."""
-    return isinstance(value, numbers.Real) and value > N_MAX
+def _above_count_max(value) -> bool:
+    """A number above 2**53, an int too large for a float included."""
+    return isinstance(value, numbers.Real) and value > _COUNT_MAX
 
 
 @dataclass(frozen=True)
@@ -114,8 +110,8 @@ class SweepConfig:
             raise ConfigError("omega0_tau must be a positive finite number")
         if self.format not in ("csv", "json"):
             raise ConfigError("format must be 'csv' or 'json'")
-        if _above_n_max(self.m):
-            raise ConfigError(f"m must be at most 2**53 = {N_MAX}")
+        if _above_count_max(self.m):
+            raise ConfigError(f"m must be at most 2**53 = {_COUNT_MAX}")
         if not _is_whole(self.m):
             raise ConfigError("m must be a positive integer")
         object.__setattr__(self, "m", int(self.m))
@@ -142,8 +138,8 @@ class SweepConfig:
             object.__setattr__(self, "n_list", _DEFAULT_N[self.mode])
         else:
             ns = tuple(self.n_list) if isinstance(self.n_list, Iterable) else ()
-            if any(_above_n_max(n) for n in ns):
-                raise ConfigError(f"N_list entries must be at most 2**53 = {N_MAX}")
+            if any(_above_count_max(n) for n in ns):
+                raise ConfigError(f"N_list entries must be at most 2**53 = {_COUNT_MAX}")
             if not (ns and all(_is_whole(n) for n in ns)):
                 raise ConfigError("N_list must be a nonempty list of positive integers")
             object.__setattr__(self, "n_list", tuple(dict.fromkeys(int(n) for n in ns)))

@@ -76,18 +76,27 @@ def _is_whole(value, least: int = 1) -> bool:
     return _is_finite_number(value) and value == int(value) >= least
 
 
+# The largest count a float64 holds exactly: m and the sweeps' N are
+# computed with as floats, so a larger count would silently round.
+_COUNT_MAX = 2**53
+
+
+def _check_measurements(m) -> None:
+    if not (_is_whole(m) and m <= _COUNT_MAX):
+        raise ValueError(f"need a whole number of measurements from 1 to 2**53, got {m!r}")
+
+
 @dataclass(frozen=True)
 class ZenoSchedule:
     """m projective measurements separated by intervals of length tau.
-    m must be whole and at least 1 (2.0 counts and is stored as 2; 2.5
-    and True raise ``ValueError``)."""
+    m must be whole, at least 1 and at most 2**53 (2.0 counts and is
+    stored as 2; 2.5, True and 2**53 + 1 raise ``ValueError``)."""
 
     m: int
     tau: float
 
     def __post_init__(self):
-        if not _is_whole(self.m):
-            raise ValueError(f"need a whole number of measurements >= 1, got {self.m!r}")
+        _check_measurements(self.m)
         object.__setattr__(self, "m", int(self.m))
         if not (self.tau > 0 and isfinite(self.tau)):
             raise ValueError(
@@ -185,9 +194,11 @@ def survival_probability_exact(
     at N = 8, 2.1 ms at N = 12, 46 ms at N = 16).  All but p runs in
     ``np.longdouble`` (a 64-bit mantissa on x86): P_m is within about
     1e-16 + m x 1e-19 relative, m x 1e-16 where long double is a double,
-    and cannot underflow to a spurious 0.  Any other rotation list runs the
-    collapse loop ``_survival_by_collapse``, the closed form's reference.
-    Both cap the result at 1.
+    of the survival of psi0 as given, and cannot underflow to a spurious
+    0.  psi0 is not renormalised: one whose float64 norm^2 is 1 + delta
+    scales P_m by about (1 + delta)^(2m) (|+> has delta = 2.2e-16).  Any
+    other rotation list runs the collapse loop ``_survival_by_collapse``,
+    the closed form's reference.  Both cap the result at 1.
     """
     form = u._pair_form
     if form is None:
@@ -298,10 +309,9 @@ def zeno_time(m: int, qfi_bound: float) -> float:
     returned is a lower bound on 2 / sqrt(m F_Q), the time the exact
     channel QFI gives.  A finite F whose product with m overflows still
     gives a finite time; an infinite F (an overflowed closed form) gives nan.
-    m follows ``ZenoSchedule``'s rule: whole and at least 1.
+    m follows ``ZenoSchedule``'s rule: whole, at least 1 and at most 2**53.
     """
-    if not _is_whole(m):
-        raise ValueError(f"need a whole number of measurements >= 1, got {m!r}")
+    _check_measurements(m)
     if not np.all(qfi_bound > 0):
         raise ValueError("information bound must be positive")
     with np.errstate(over="ignore"):

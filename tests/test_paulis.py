@@ -71,17 +71,35 @@ def test_pauli_product_table(a, b, phase, result):
 
 
 def test_pauli_product_matches_matrices():
+    """Every ordered pair of 2-qubit strings and 30 random pairs of 3-qubit
+    strings: the product's phase and string, and both commutation checks,
+    against the dense matrices."""
     rng = np.random.default_rng(3)
+    pairs = list(itertools.product(map("".join, itertools.product("IXYZ", repeat=2)), repeat=2))
     for _ in range(30):
         f1 = "".join(rng.choice(list("IXYZ")) for _ in range(3))
         f2 = "".join(rng.choice(list("IXYZ")) for _ in range(3))
+        pairs.append((f1, f2))
+    assert len(pairs) == 256 + 30
+    for f1, f2 in pairs:
         phase, prod = pauli_product(f1, f2)
         lhs = to_dense(PauliTerm(1.0, f1)).matrix @ to_dense(PauliTerm(1.0, f2)).matrix
         rhs = phase * to_dense(PauliTerm(1.0, prod)).matrix
         np.testing.assert_allclose(lhs, rhs, atol=1e-14)
-        assert paulis_commute(f1, f2) == np.allclose(
+        commute = np.allclose(
             lhs, to_dense(PauliTerm(1.0, f2)).matrix @ to_dense(PauliTerm(1.0, f1)).matrix
         )
+        assert paulis_commute(f1, f2) == commute
+        pair_sum = OperatorSum([PauliTerm(1.0, f1), PauliTerm(1.0, f2)])
+        assert pair_sum.mutually_commuting == commute
+
+
+@pytest.mark.parametrize("check", [pauli_product, paulis_commute])
+def test_strings_of_unequal_length_are_refused(check):
+    with pytest.raises(DimensionMismatchError):
+        check("XY", "XYZ")
+    with pytest.raises(DimensionMismatchError):
+        check("Z", "IZ")
 
 
 # ---- apply_operator ----

@@ -764,7 +764,12 @@ def test_params_reject_non_finite_phase():
 
 
 def test_params_check_every_n_of_an_array():
-    for n in (0, np.array([3.0, 0.0])):
+    """A bool, a non-finite or a fractional N is refused as a scalar and in
+    an array alike: N = 2.5 once gave qfi_ghz 6.079, True 1.770 and nan a
+    nan."""
+    bad = (0, 2.5, True, np.True_, math.nan, math.inf, 10**400)
+    arrays = [np.array([3.0, n]) for n in (0.0, 2.5, math.nan, math.inf)]
+    for n in (*bad, *arrays, np.array([True, True])):
         with pytest.raises(ValueError, match="qubit"):
             AnalyticParams(n=n, omega0=1.0, gamma=1.0, tau=0.5)
 

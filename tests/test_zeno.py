@@ -57,11 +57,12 @@ def one_pair_setup(omega0=1.0, gamma=1.0):
 
 
 def test_schedule_validation():
-    for m in (0, 2.5, True, math.nan, "3", 10**400):
+    for m in (0, 2.5, True, math.nan, "3", 10**400, 2**53 + 1, 10**30):
         with pytest.raises(ValueError):
             ZenoSchedule(m, 0.1)
     with pytest.raises(ValueError):
         ZenoSchedule(3, 0.0)
+    assert ZenoSchedule(2**53, 0.1).m == 2**53
 
 
 def test_schedule_takes_a_whole_m_on_both_routes():
@@ -849,12 +850,13 @@ def test_zeno_time_arithmetic():
 
 
 def test_zeno_time_validation():
-    for m in (0, 2.5, True, 10**400):
+    for m in (0, 2.5, True, 10**400, 2**53 + 1, 10**30):
         with pytest.raises(ValueError):
             zeno_time(m, 1.0)
     with pytest.raises(ValueError):
         zeno_time(10, 0.0)
     assert zeno_time(100.0, 4.0) == zeno_time(100, 4.0)
+    assert zeno_time(2**53, 1.0) == 2.0 / math.sqrt(2.0**53)
 
 
 def test_zeno_time_consistent_with_quadratic_form():
