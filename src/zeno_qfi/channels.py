@@ -64,6 +64,17 @@ class DilatedEvolution:
         """The rotation list's ``_PairForm`` or None, read once (frozen)."""
         return _read_pair_form(self)
 
+    @cached_property
+    def _generator(self) -> OperatorSum:
+        """The generator of ``generator``, built once (frozen).  A rotation
+        list that does not commute raises on every read: a cached property
+        stores no exception."""
+        terms = [PauliTerm(rate / 2.0, p.factors) for rate, p in self.rotations]
+        gen = OperatorSum(terms, n_qubits=self.n_qubits)
+        if not gen.mutually_commuting:
+            raise ValueError("generator needs mutually commuting rotations")
+        return gen
+
 
 class _PairForm(NamedTuple):
     """What the closed-form survival reads off a rotation list in pair form
@@ -241,15 +252,11 @@ def apply_channel(kraus: KrausSet, rho: DenseOperator) -> DenseOperator:
     return DenseOperator(out)
 
 
-def generator(u: DilatedEvolution):
+def generator(u: DilatedEvolution) -> OperatorSum:
     """Hermitian generator G with U(t) = exp(-i G t), as the exact Pauli
-    sum of rate/2-weighted strings.
+    sum of rate/2-weighted strings, built once per evolution.
 
     A rotation list whose strings do not all commute raises ``ValueError``:
     its ordered product is not exp(-i G t) for any such sum.
     """
-    terms = [PauliTerm(rate / 2.0, p.factors) for rate, p in u.rotations]
-    gen = OperatorSum(terms, n_qubits=u.n_qubits)
-    if not gen.mutually_commuting:
-        raise ValueError("generator needs mutually commuting rotations")
-    return gen
+    return u._generator

@@ -244,31 +244,35 @@ class _Eigenframe:
     components: tuple[np.ndarray, ...]
 
     def apply(self, amplitudes: np.ndarray) -> np.ndarray:
-        """C H C^dag applied to amplitudes given in the frame: lambda times
-        them, with lambda summed from its components on each call, so that
-        no 2^n array outlives the call."""
-        tensor = amplitudes.reshape((2,) * len(self.letters))
-        return (tensor * reduce(np.add, self.components)).reshape(-1)
+        """C H C^dag applied to amplitudes given in the frame, the last axis
+        of ``amplitudes``: lambda times them, with lambda summed from its
+        components on each call, so that no 2^n array outlives the call."""
+        tensor = amplitudes.reshape(amplitudes.shape[:-1] + (2,) * len(self.letters))
+        return (tensor * reduce(np.add, self.components)).reshape(amplitudes.shape)
 
-    def evolved(self, amplitudes: np.ndarray, tau: float) -> np.ndarray:
-        """C exp(-i tau H)|psi> = exp(-i tau lambda) * C|psi>, a new array:
-        C as one matmul per window, the phase as the Kronecker product of
-        the components' exponentials."""
+    def evolved(self, amplitudes: np.ndarray, tau) -> np.ndarray:
+        """C exp(-i tau H)|psi> = exp(-i tau lambda) * C|psi> for each
+        vector along the last axis of ``amplitudes``, a new array: C as one
+        matmul per window, the phase as the Kronecker product of the
+        components' exponentials, applied in place.  ``tau`` is one interval
+        or an array of them over the leading axes."""
+        lead, n = amplitudes.shape[:-1], len(self.letters)
         out = amplitudes
         for lo, factor in self.windows:
-            rows = out.reshape(2**lo, len(factor), -1)
-            if rows.shape[2] == 1:
-                out = rows[:, :, 0] @ factor.T
+            rows = out.reshape(lead + (2**lo, len(factor), -1))
+            if rows.shape[-1] == 1:
+                out = rows[..., 0] @ factor.T
             else:
                 out = np.matmul(factor, rows)
         if out is amplitudes:
             out = amplitudes.copy()
+        tau = np.reshape(tau, lead + (1,) * n)
         phase = reduce(
             np.multiply, (np.exp(-1j * tau * lam) for lam in self.components)
         )
-        tensor = out.reshape((2,) * len(self.letters))
+        tensor = out.reshape(lead + (2,) * n)
         tensor *= phase
-        return tensor.reshape(-1)
+        return tensor.reshape(amplitudes.shape)
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:

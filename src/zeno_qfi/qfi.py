@@ -14,7 +14,9 @@ commutes with H_hat, so every covariance of H_hat and h'_k on the initial
 state equals the one of H_hat and the plain h_k on phi = U'(tau)|psi>.  The
 state is evolved once and no basis element is conjugated;
 ``conjugate_env_operator`` is the Heisenberg-picture form of the same
-quantity, which tests compare against.  The generator is a Pauli sum whose
+quantity, which tests compare against.  One solve takes a stack of rows
+(generator, state, tau) on one basis, and ``minimize_qfi_bound`` is the
+one-row case.  The generator is a Pauli sum whose
 terms carry one Pauli letter per qubit, as every generator the library
 builds does: a local Clifford C makes it diagonal, so phi and H_hat phi are
 taken in that eigenframe as elementwise products, and any other generator
@@ -34,9 +36,11 @@ channel QFI for N >= 2.  ``qfi_separable`` is exact on product inputs.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, replace
 from functools import cached_property
 from math import cos, isfinite, sin
+from typing import NamedTuple
 
 import numpy as np
 
@@ -116,8 +120,9 @@ def _in_frame(x: np.ndarray, z: np.ndarray, letters: str):
 
 
 def _traces(r: np.ndarray, index: np.ndarray, weight: np.ndarray) -> np.ndarray:
-    """sum_e weight[k, e] r.flat[index[k, e]] for every row k."""
-    return np.einsum("ke,ke->k", r.ravel()[index], weight)
+    """sum_e weight[k, e] r[b].flat[index[k, e]] for every row k, for each
+    matrix r[b] of a stack."""
+    return np.einsum("bke,ke->bk", r.reshape(len(r), -1).take(index, axis=1), weight)
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,6 +154,14 @@ class EnvOperatorBasis:
     @cached_property
     def _tables(self) -> dict[str, _EnvProducts]:
         return {}
+
+    @cached_property
+    def _table_rows(self) -> int:
+        """A bound on the distinct strings among the T terms and their
+        products, the rows of each product table: 1 + T(T+1)/2, and at
+        most 4^k on k environment qubits."""
+        n_terms = sum(len(op.terms) for op in self.elements)
+        return min(4 ** self.labels.count(ENVIRONMENT), 1 + n_terms * (n_terms + 1) // 2)
 
     def _products(self, letters: str) -> _EnvProducts:
         """Gather table of the basis strings and of every product of two,
@@ -351,26 +364,54 @@ def conjugate_env_operator(h_env: OperatorSum, h_hat: OperatorSum, tau: float):
     return OperatorSum(terms, n_qubits=h_env.n_qubits)
 
 
-def _evolved_state(h_hat: OperatorSum, psi_full: StateVector, tau):
-    """phi = exp(-i H_hat tau)|psi> and H_hat phi in the eigenframe C of
-    H_hat, and the frame's environment letters: C phi = exp(-i tau lambda)
-    * C psi and C H_hat phi = lambda * C phi, with no Pauli-string kernel.
-    A sum with two letters on a qubit, which has no such frame, raises
-    ``ValueError``; the library builds none."""
-    _check_generator(h_hat)
-    if 2**h_hat.n_qubits != psi_full.dim:
-        raise DimensionMismatchError("generator does not match the state register")
-    frame = h_hat._frame
-    if frame is None:
-        raise ValueError("the generator needs one Pauli letter per qubit")
-    phi = frame.evolved(psi_full.amplitudes, tau)
-    env = zip(frame.letters, psi_full.labels)
-    letters = "".join(f for f, l in env if l is ENVIRONMENT)
-    return phi, frame.apply(phi), letters
+def _joined(parts) -> np.ndarray:
+    """The arrays stacked along their leading axis; a lone one as it is."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
-def _normal_equations(h_hat: OperatorSum, basis, psi_full: StateVector, tau):
-    """Quadratic form of Var(H_hat + sum_k c_k h'_k) in the coefficients c.
+def _evolved_states(rows):
+    """phi = exp(-i H_hat tau)|psi> and H_hat phi for each row
+    (H_hat, psi, tau), stacked along a leading axis in the eigenframe C of
+    the row's H_hat, and the environment letters the frames share:
+    C phi = exp(-i tau lambda) * C psi and C H_hat phi = lambda * C phi,
+    with no Pauli-string kernel.  Adjacent rows of one generator are
+    evolved by one call.  A sum with two letters on a qubit, which has no
+    such frame, raises ``ValueError`` (the library builds none), and so do
+    frames that differ in their environment letters: their rows cannot
+    share one product table."""
+    phis, applied, letters = [], [], set()
+    for _, group in itertools.groupby(rows, key=lambda row: id(row[0])):
+        group = list(group)
+        h_hat, psi_full, _ = group[0]
+        _check_generator(h_hat)
+        if 2**h_hat.n_qubits != psi_full.dim:
+            raise DimensionMismatchError("generator does not match the state register")
+        frame = h_hat._frame
+        if frame is None:
+            raise ValueError("the generator needs one Pauli letter per qubit")
+        env = zip(frame.letters, psi_full.labels)
+        letters.add("".join(f for f, l in env if l is ENVIRONMENT))
+        amplitudes = [psi.amplitudes for _, psi, _ in group]
+        # A lone row is evolved from a view of its state: no copy adds to
+        # the peak of a large register.
+        stack = amplitudes[0][None] if len(group) == 1 else np.stack(amplitudes)
+        phi = frame.evolved(stack, np.array([tau for _, _, tau in group]))
+        del amplitudes, stack
+        phis.append(phi)
+        applied.append(frame.apply(phi))
+    if len(letters) > 1:
+        raise ValueError("the stacked generators must share their environment letters")
+    return _joined(phis), _joined(applied), letters.pop()
+
+
+def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.vdot(a[r], b[r]) for each row r, the call a one-row solve makes."""
+    return np.array([np.vdot(x, y) for x, y in zip(a, b)])
+
+
+def _normal_equations(basis, rows):
+    """Quadratic forms of Var(H_hat + sum_k c_k h'_k) in the coefficients
+    c, one for each row (H_hat, psi_full, tau) of a stack.
 
     Every h'_k = U^dag h_k U with U = exp(-i H_hat tau), and U commutes
     with H_hat, so each covariance on psi equals the one of H_hat and the
@@ -378,19 +419,19 @@ def _normal_equations(h_hat: OperatorSum, basis, psi_full: StateVector, tau):
     with phi and H_hat phi as (system x environment) matrices Phi and Psi,
     <h_k h_l> and <h_k H_hat> read off r1 = Phi^dag Phi and
     r2 = Phi^dag Psi through the basis's product table.  Both are taken in
-    the frame C of ``_evolved_state``: C's system part cancels in the
+    the frame C of ``_evolved_states``: C's system part cancels in the
     partial trace, and the table reads its strings conjugated by C's
-    environment part, so nothing is transformed back.  Returns Var H_hat,
-    the Gram matrix of covariances Re<h_k h_l> - <h_k><h_l> (exactly
-    symmetric) and the cross covariances with H_hat.
+    environment part, so nothing is transformed back.  Returns, stacked
+    over the rows, Var H_hat, the Gram matrices of covariances
+    Re<h_k h_l> - <h_k><h_l> (exactly symmetric) and the cross covariances
+    with H_hat.  Every per-row array is C-contiguous, so each row meets
+    the BLAS calls of a one-row stack and rounds as it would alone.
     """
-    if basis.labels != psi_full.labels:
-        raise DimensionMismatchError("basis register does not match the state register")
-    phi, applied, letters = _evolved_state(h_hat, psi_full, tau)
-    h_mean = float(np.vdot(phi, applied).real)
-    h_variance = float(np.vdot(applied, applied).real) - h_mean**2
+    phi, applied, letters = _evolved_states(rows)
+    h_mean = _dots(phi, applied).real
+    h_variance = _dots(applied, applied).real - h_mean**2
     phi_mat = _system_env_split(phi, basis.labels)
-    left = phi_mat.conj().T
+    left = np.swapaxes(phi_mat.conj(), 1, 2)
     r1 = left @ phi_mat
     # Each 2^n array is dropped once it is used up, which bounds the peak.
     del phi, phi_mat
@@ -400,20 +441,97 @@ def _normal_equations(h_hat: OperatorSum, basis, psi_full: StateVector, tau):
     means = _traces(r1, t.term_index, t.term_weight).real
     cross = _traces(r2, t.term_index, t.term_weight).real
     products = _traces(r1, t.product_index, t.product_sign)
-    second = (t.pair_coef * products[t.pair]).real
+    second = (t.pair_coef * products.take(t.pair, axis=1)).real
     if t.owner is not None:
-        means, cross = t.owner @ means, t.owner @ cross
+        means = (t.owner @ means[:, :, None])[:, :, 0]
+        cross = (t.owner @ cross[:, :, None])[:, :, 0]
         second = t.owner @ second @ t.owner.T
     # An anticommuting pair leaves rounding of opposite sign in the two
     # triangles; the symmetrised sum is exactly symmetric.
-    gram = 0.5 * (second + second.T) - np.outer(means, means)
-    return h_variance, gram, cross - h_mean * means
+    gram = 0.5 * (second + np.swapaxes(second, 1, 2))
+    gram -= means[:, :, None] * means[:, None, :]
+    return h_variance, gram, cross - h_mean[:, None] * means
 
 
-def _bound_at(coeff, h_variance, gram, cross) -> float:
-    """4 Var(H_hat + sum_k c_k h_k) on phi, from the quadratic form."""
-    var = h_variance + 2.0 * float(coeff @ cross) + float(coeff @ gram @ coeff)
-    return 4.0 * max(var, 0.0)
+def _bound_at(coeff, h_variance, gram, cross):
+    """4 Var(H_hat + sum_k c_k h_k) on phi, from the quadratic form, for
+    one row or a stack of them along the leading axes."""
+    row = coeff[..., None, :]
+    linear = (row @ cross[..., None])[..., 0, 0]
+    var = h_variance + 2.0 * linear + (row @ gram @ coeff[..., None])[..., 0, 0]
+    return 4.0 * np.maximum(var, 0.0)
+
+
+class _Minima(NamedTuple):
+    """``VariationalSolution`` fields stacked over the rows of a solve."""
+
+    coefficients: np.ndarray
+    qfi: np.ndarray
+    gram_condition: np.ndarray
+    rank: np.ndarray
+    residual: np.ndarray
+
+
+def _solve(h_variance, gram, cross) -> _Minima:
+    """Minimize each row's quadratic form (see ``minimize_qfi_bound``)."""
+    lam, u = np.linalg.eigh(gram)
+    # Eigenpairs by decreasing |lambda|, with u C-ordered: the order and
+    # layout of np.linalg.svd(gram, hermitian=True), which is eigh plus this
+    # sort, so the products below round exactly as its pseudo-inverse does.
+    order = np.argsort(np.abs(lam), axis=-1)[:, ::-1]
+    n_rows, k = lam.shape
+    first = k * np.arange(n_rows)[:, None]  # where each row starts in lam
+    lam = lam.take(first + order)
+    u = u.take(k * first[:, :, None] + k * np.arange(k)[:, None] + order[:, None])
+    # An all-zero G keeps nothing: zero coefficients, rank 0 and an
+    # infinite condition.
+    s = np.abs(lam)
+    s_max, s_min = s[:, 0], s[:, -1]
+    kept = s > GRAM_CUTOFF * s_max[:, None]
+    inv = np.where(kept, 1.0 / np.where(kept, lam, 1.0), 0.0)
+    projected = (np.swapaxes(u, 1, 2) @ cross[:, :, None])[:, :, 0]
+    coeff = -(u @ (inv * projected)[:, :, None])[:, :, 0]
+    condition = np.divide(s_max, s_min, out=np.full_like(s_max, np.inf), where=s_min > 0)
+    gap = (gram @ coeff[:, :, None])[:, :, 0] + cross
+    return _Minima(
+        coeff,
+        _bound_at(coeff, h_variance, gram, cross),
+        condition,
+        kept.sum(axis=-1),
+        np.sqrt(_dots(gap, gap)),
+    )
+
+
+# A stacked solve takes its rows in chunks whose stacked arrays (register
+# vectors, or the table's gather of r1) hold at most this many complex
+# numbers, a quarter of one vector at N = 8; a chunk holds at least one
+# row.  With 2^16 a ``verify`` run peaked 1.7 MB higher in RSS; 2^14 ran
+# as fast.
+_STACK_BUDGET = 2**14
+
+
+def _minimize_rows(basis: EnvOperatorBasis, rows) -> _Minima:
+    """``minimize_qfi_bound`` for each row (H_hat, psi_full, tau) on one
+    basis, as a stack: the rows of one generator are evolved together and
+    everything after the evolution is one batched computation, in chunks
+    of rows that stay within ``_STACK_BUDGET``.  Every generator must have
+    the same eigenframe letters on the environment, as all of one basis's
+    rows share its product table.  Each row's values equal a one-row
+    solve's to the bit (see ``_normal_equations``)."""
+    rows = list(rows)
+    for _, psi_full, tau in rows:
+        if not isfinite(tau):
+            raise ValueError(f"interval must be finite, got {tau}")
+        if basis.labels != psi_full.labels:
+            raise DimensionMismatchError("basis register does not match the state register")
+    d_env = 2 ** basis.labels.count(ENVIRONMENT)
+    per_row = max(2 ** len(basis.labels), basis._table_rows * d_env)
+    step = max(1, _STACK_BUDGET // per_row)
+    parts = [
+        _solve(*_normal_equations(basis, rows[i : i + step]))
+        for i in range(0, len(rows), step)
+    ]
+    return _Minima(*(_joined(field) for field in zip(*parts)))
 
 
 def minimize_qfi_bound(
@@ -428,6 +546,8 @@ def minimize_qfi_bound(
     normal equations G c = -b built from symmetrized covariances, taken on
     the evolved state from two reduced environment matrices (see
     ``_normal_equations``); no k x 2^n array of applied vectors is formed.
+    This is the one-row case of the stacked solve ``_minimize_rows``, whose
+    rows (H_hat, psi, tau) ``verify`` solves a register size at a time.
     A per-qubit solve at N = 8 (16 qubits, 24 elements) peaks at 4.0 MiB of
     ``tracemalloc`` (4.5 MiB when it also builds the basis's product table),
     four vectors of the register.  The bound at the returned coefficients
@@ -437,31 +557,17 @@ def minimize_qfi_bound(
     the largest are treated as zero; the raw condition number, the rank
     kept and the residual |G c + b| are reported for diagnostics.  H_hat
     must be a Hermitian Pauli sum with one letter per qubit (see
-    ``_evolved_state``).  A basis whose labels differ from the state's
+    ``_evolved_states``).  A basis whose labels differ from the state's
     raises ``DimensionMismatchError``: its "environment" operators would
     act on system qubits.
     """
-    if not isfinite(tau):
-        raise ValueError(f"interval must be finite, got {tau}")
-    h_variance, gram, cross = _normal_equations(h_hat, basis, psi_full, tau)
-    lam, u = np.linalg.eigh(gram)
-    # Eigenpairs by decreasing |lambda|, with u C-ordered: the order and
-    # layout of np.linalg.svd(gram, hermitian=True), which is eigh plus this
-    # sort, so the products below round exactly as its pseudo-inverse does.
-    order = np.argsort(np.abs(lam))[::-1]
-    lam, u = lam[order], np.take(u, order, axis=1)
-    # An all-zero G keeps nothing: zero coefficients, rank 0 and an
-    # infinite condition.
-    s = np.abs(lam)
-    s_max, s_min = float(s[0]), float(s[-1])
-    kept = s > GRAM_CUTOFF * s_max
-    inv = np.where(kept, 1.0 / np.where(kept, lam, 1.0), 0.0)
-    coeff = -(u @ (inv * (u.T @ cross)))
-    condition = s_max / s_min if s_min > 0 else float("inf")
-    rank = int(kept.sum())
-    residual = float(np.linalg.norm(gram @ coeff + cross))
+    solved = _minimize_rows(basis, [(h_hat, psi_full, tau)])
     return VariationalSolution(
-        coeff, _bound_at(coeff, h_variance, gram, cross), condition, rank, residual
+        solved.coefficients[0],
+        float(solved.qfi[0]),
+        float(solved.gram_condition[0]),
+        int(solved.rank[0]),
+        float(solved.residual[0]),
     )
 
 

@@ -33,7 +33,7 @@ from .exceptions import ConfigError, PoleProximityError
 from .qfi import (
     AnalyticParams,
     EnvOperatorBasis,
-    minimize_qfi_bound,
+    _minimize_rows,
     qfi_ghz,
     qfi_ghz_large_n,
     qfi_ratio_asymptote,
@@ -273,27 +273,34 @@ def run_ratio_vs_n(cfg: SweepConfig) -> Table:
 
 def _relative_gaps(grid, taus, inputs):
     """(minimum - reference) / |reference| of the per-qubit-basis minimum
-    at each (N, omega0, gamma) grid point, interval and input, each paired
-    with its point (N, omega0, gamma, tau).
+    at each (N, omega0, gamma) grid point, interval and input, in that
+    order, each paired with its point (N, omega0, gamma, tau).
 
-    ``inputs(model, p)`` lists (system state, reference value) pairs; each
-    state is paired with |0...0>_E.  The generator is built once per model,
-    the basis, whose product table the solver builds on first use, once
-    per register size.
+    ``inputs(n)`` lists (system state, reference) pairs at N, and
+    ``reference(model, p, system)`` gives the value the minimum is compared
+    with; each state is paired with |0...0>_E.  Each run of grid points
+    with one N is one stacked solve, whose rows (generator, state, tau)
+    cover every rate pair, interval and input of the run, on the basis and
+    full states built once for it.
     """
-    bases: dict[int, EnvOperatorBasis] = {}
-    for n, omega0, gamma in grid:
-        model = build_dephasing_model(n, omega0, gamma)
-        h_hat = generator(model)
-        if n not in bases:
-            bases[n] = EnvOperatorBasis.single_qubit_paulis(model.labels)
-        basis = bases[n]
-        for tau in taus:
-            p = AnalyticParams(n=n, omega0=omega0, gamma=gamma, tau=tau)
-            for system, reference in inputs(model, p):
-                full = tensor_state(system, zero_environment(n))
-                solved = minimize_qfi_bound(h_hat, basis, full, tau).qfi
-                yield (solved - reference) / abs(reference), (n, omega0, gamma, tau)
+    for n, points in itertools.groupby(grid, key=lambda point: point[0]):
+        pairs = inputs(n)
+        env0 = zero_environment(n)
+        fulls = [tensor_state(system, env0) for system, _ in pairs]
+        points = list(points)
+        models = [build_dephasing_model(*point) for point in points]
+        basis = EnvOperatorBasis.single_qubit_paulis(models[0].labels)
+        rows, references = [], []
+        for model, (_, omega0, gamma) in zip(models, points):
+            h_hat = generator(model)
+            for tau in taus:
+                p = AnalyticParams(n=n, omega0=omega0, gamma=gamma, tau=tau)
+                for full, (system, reference) in zip(fulls, pairs):
+                    rows.append((h_hat, full, tau))
+                    references.append((reference(model, p, system), (n, omega0, gamma, tau)))
+        solved = _minimize_rows(basis, rows).qfi.tolist()
+        for value, (reference, at) in zip(solved, references):
+            yield (value - reference) / abs(reference), at
 
 
 def _largest_gap(gaps) -> tuple[float, tuple]:
@@ -306,8 +313,11 @@ def _solver_vs_closed_form(grid, taus) -> tuple[float, tuple]:
     """Max relative error of the solver against the closed forms on both
     state families, and the point where it sits."""
 
-    def inputs(model, p):
-        return ((ghz_state(p.n), qfi_ghz(p)), (plus_state(p.n), qfi_separable(p)))
+    def inputs(n):
+        return (
+            (ghz_state(n), lambda model, p, system: qfi_ghz(p)),
+            (plus_state(n), lambda model, p, system: qfi_separable(p)),
+        )
 
     return _largest_gap(_relative_gaps(grid, taus, inputs))
 
@@ -489,14 +499,20 @@ def _channel_vs_partial_trace(seed: int) -> tuple[float, tuple]:
 _RATES = (0.5, 1.0, 1.2)
 
 
+def _sld_reference(model, p, system) -> float:
+    return qfi_sld_oracle(model, system, p.tau)
+
+
 def _solver_vs_sld(seed: int) -> tuple[float, tuple]:
     """Solver against the SLD oracle where the per-qubit basis is
-    exhaustive (any state at N=1, product states at any N): the largest
-    relative gap and the point where it sits."""
+    exhaustive (any state at N=1: |+> and a qubit drawn from the seed;
+    product states at any N): the largest relative gap and the point where
+    it sits."""
+    drawn = _random_pure(np.random.default_rng(seed), 1, SYSTEM)
 
-    def inputs(model, p):
-        systems = [plus_state(p.n)] + ([ghz_state(p.n)] if p.n == 1 else [])
-        return [(s, qfi_sld_oracle(model, s, p.tau)) for s in systems]
+    def inputs(n):
+        systems = [plus_state(n)] + ([drawn] if n == 1 else [])
+        return [(s, _sld_reference) for s in systems]
 
     grid = itertools.product((1, 2, 3), _RATES, _RATES)
     return _largest_gap(_relative_gaps(grid, (0.1, 0.5), inputs))
@@ -507,9 +523,8 @@ def _ansatz_bounds_true_qfi(seed: int) -> tuple[float, tuple]:
     channel QFI but can never undercut it: the most negative gap, and the
     point where it sits."""
 
-    def inputs(model, p):
-        ghz = ghz_state(p.n)
-        return [(ghz, qfi_sld_oracle(model, ghz, p.tau))]
+    def inputs(n):
+        return [(ghz_state(n), _sld_reference)]
 
     grid = itertools.product((2, 3), (1.0,), (0.5, 1.0))
     return min(_relative_gaps(grid, (0.1, 0.5), inputs), key=lambda item: item[0])

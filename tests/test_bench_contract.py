@@ -41,6 +41,7 @@ def test_counters_name_traced_spans():
 
 
 def test_tracer_installs_and_restores():
+    import zeno_qfi.cli  # noqa: F401
     from zeno_qfi import channels
 
     original = channels.evolve
@@ -82,3 +83,25 @@ def test_tracer_counters_count():
     counts = tracer.counters[0]
     for name in ("paulis.amps", "dense.partial_trace.elems", "qfi.gram_entries"):
         assert counts[name] > 0, name
+
+
+def test_tracer_records_the_oracles_generator_calls():
+    """The SLD oracle looks ``generator`` up under a name the tracer wraps,
+    so each traced oracle call records one ``channels.generator`` span,
+    the cached sum included."""
+    import zeno_qfi.cli  # noqa: F401
+    from zeno_qfi import channels, qfi, states
+
+    model = channels.build_dephasing_model(1, 1.0, 1.0)
+
+    def calls():
+        for _ in range(2):
+            qfi.qfi_sld_oracle(model, states.plus_state(1), 0.5)
+
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        tracer.root("calls", 0, calls)
+    finally:
+        tracer.uninstall()
+    assert [span[3] for span in tracer.spans].count("channels.generator") == 2

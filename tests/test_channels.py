@@ -347,6 +347,18 @@ def test_generator_rejects_non_commuting_rotations():
     )
     with pytest.raises(ValueError, match="commuting"):
         generator(model)
+    # A cached property stores no exception: the second call raises too.
+    with pytest.raises(ValueError, match="commuting"):
+        generator(model)
+
+
+def test_generator_is_built_once_per_evolution():
+    """Every call on one evolution returns the same sum, so its eigenframe
+    and commutation check are also computed once; another evolution with
+    the same rotations gets its own."""
+    model = build_dephasing_model(2, 0.8, 1.1)
+    assert generator(model) is generator(model)
+    assert generator(build_dephasing_model(2, 0.8, 1.1)) is not generator(model)
 
 
 def test_generator_closed_system_limit():

@@ -43,6 +43,7 @@ from zeno_qfi.states import (
     SYSTEM,
     StateVector,
     basis_state,
+    from_system_env_matrix,
     ghz_state,
     plus_state,
     tensor_state,
@@ -70,7 +71,7 @@ def minimize_by_gradient_descent(
 ):
     """Oracle: plain gradient descent on the solver's own quadratic, so only
     the solve differs from minimize_qfi_bound."""
-    h_variance, gram, cross = _normal_equations(h_hat, basis, psi_full, tau)
+    (h_variance,), (gram,), (cross,) = _normal_equations(basis, [(h_hat, psi_full, tau)])
     scale = max(float(np.abs(gram).max()), 1.0)
     coeff = np.zeros(len(cross))
     for _ in range(steps):
@@ -359,7 +360,7 @@ def assert_solver_matches_reference(h_hat, basis, psi, tau, reference, rng):
     """The solver's G, b and bound equal the reference to 1e-12, at random
     coefficients and at its own, and its G is exactly symmetric."""
     gram, cross, bound = reference
-    got_variance, got_gram, got_cross = _normal_equations(h_hat, basis, psi, tau)
+    (got_variance,), (got_gram,), (got_cross,) = _normal_equations(basis, [(h_hat, psi, tau)])
     assert np.array_equal(got_gram, got_gram.T)
     np.testing.assert_allclose(got_gram, gram, rtol=0, atol=1e-12)
     np.testing.assert_allclose(got_cross, cross, rtol=0, atol=1e-12)
@@ -654,7 +655,7 @@ def test_solver_equals_hermitian_svd_pseudo_inverse(kind, n, input_state):
     model, h_hat = model_setup(n, 1.0, 0.9)
     basis = getattr(EnvOperatorBasis, kind)(model.labels)
     psi = input_state(n)
-    _, gram, cross = _normal_equations(h_hat, basis, psi, 0.5)
+    _, (gram,), (cross,) = _normal_equations(basis, [(h_hat, psi, 0.5)])
     u, s, vt = np.linalg.svd(gram, hermitian=True)
     kept = s > GRAM_CUTOFF * s[0]
     inv = np.where(kept, 1.0 / np.where(kept, s, 1.0), 0.0)
@@ -1006,6 +1007,94 @@ def test_oracle_memory_on_a_pure_input_at_eight_pairs():
     finally:
         tracemalloc.stop()
     assert peak <= 6 * column
+
+
+def _stack_models(register, rng):
+    """Three dephasing models with random rates, on N pairs in block order
+    or on the interleaved (S, E, S, E) register."""
+    models = []
+    for omega0, gamma in rng.uniform(0.4, 1.6, (3, 2)):
+        if register == "interleaved":
+            block = build_dephasing_model(2, omega0, gamma)
+            rotations = [
+                (rate, PauliTerm(1.0, "".join(p.factors[i] for i in (0, 2, 1, 3))))
+                for rate, p in block.rotations
+            ]
+            models.append(DilatedEvolution((SYSTEM, ENVIRONMENT) * 2, rotations))
+        else:
+            models.append(build_dephasing_model(register, omega0, gamma))
+    return models
+
+
+@pytest.mark.parametrize("kind", ["single_qubit_paulis", "symmetric", "complete"])
+@pytest.mark.parametrize("register", [1, 2, 3, "interleaved"])
+def test_stacked_rows_match_one_row_solves(kind, register):
+    """A stack of rows from three generators with the same environment
+    letters, in shuffled order, at mixed intervals, on GHZ, |+> and random
+    inputs gives each row the minimum and coefficients of a one-row solve
+    to 1e-12 relative, and the same rank."""
+    rng = np.random.default_rng(len(kind) + 7 * len(str(register)))
+    models = _stack_models(register, rng)
+    labels = models[0].labels
+    n = labels.count(SYSTEM)
+    env0 = zero_environment(n).amplitudes
+    drawn = StateVector(rng.normal(size=2**n) + 1j * rng.normal(size=2**n), (SYSTEM,) * n)
+    systems = (ghz_state(n), plus_state(n), drawn.normalized())
+    fulls = [from_system_env_matrix(np.outer(s.amplitudes, env0), labels) for s in systems]
+    rows = [
+        (generator(model), full, float(tau))
+        for model in models
+        for tau in rng.uniform(0.1, 1.5, 2)
+        for full in fulls
+    ]
+    rows = [rows[i] for i in rng.permutation(len(rows))]
+    basis = getattr(EnvOperatorBasis, kind)(labels)
+    stacked = qfi._minimize_rows(basis, rows)
+    assert stacked.coefficients.shape == (len(rows), len(basis.elements))
+    for i, row in enumerate(rows):
+        one = minimize_qfi_bound(row[0], basis, *row[1:])
+        assert stacked.qfi[i] == pytest.approx(one.qfi, rel=1e-12)
+        gap = np.linalg.norm(stacked.coefficients[i] - one.coefficients)
+        assert gap <= 1e-12 * np.linalg.norm(one.coefficients)
+        assert stacked.rank[i] == one.rank
+
+
+def test_stack_chunks_solve_as_one(monkeypatch):
+    """A stack cut into chunks of one row, by a budget below one vector,
+    gives the values of the stack solved in one piece, to the bit."""
+    model, h_hat = model_setup(2, 0.9, 1.2)
+    basis = EnvOperatorBasis.single_qubit_paulis(model.labels)
+    rows = [(h_hat, state(2), tau) for state in (ghz_input, product_input) for tau in (0.3, 0.8)]
+    whole = qfi._minimize_rows(basis, rows)
+    monkeypatch.setattr(qfi, "_STACK_BUDGET", 1)
+    chunked = qfi._minimize_rows(basis, rows)
+    for a, b in zip(whole, chunked, strict=True):
+        assert a.shape[0] == len(rows) and np.array_equal(a, b)
+
+
+def test_stack_with_mixed_environment_letters_raises():
+    """Rows whose frames carry X and Z on the environment cannot share one
+    product table, so the stack raises."""
+    labels = (SYSTEM, ENVIRONMENT)
+    basis = EnvOperatorBasis.single_qubit_paulis(labels)
+    psi = tensor_state(plus_state(1), zero_environment(1))
+    x_env = generator(build_dephasing_model(1, 1.0, 0.7))
+    z_env = OperatorSum([PauliTerm(0.5, "ZI"), PauliTerm(0.35, "ZZ")])
+    for h_hat in (x_env, z_env):
+        minimize_qfi_bound(h_hat, basis, psi, 0.5)
+    with pytest.raises(ValueError, match="environment letters"):
+        qfi._minimize_rows(basis, [(x_env, psi, 0.5), (z_env, psi, 0.5)])
+
+
+def test_solution_fields_are_python_numbers():
+    """The one-row solve returns Python floats and a Python int, which the
+    JSON encoder and the CLI format as such."""
+    model, h_hat = model_setup(2, 1.0, 0.8)
+    basis = EnvOperatorBasis.single_qubit_paulis(model.labels)
+    sol = minimize_qfi_bound(h_hat, basis, ghz_input(2), 0.5)
+    for value in (sol.qfi, sol.gram_condition, sol.residual):
+        assert type(value) is float
+    assert type(sol.rank) is int
 
 
 def test_solver_memory_on_the_per_qubit_basis_at_eight_pairs():

@@ -23,12 +23,14 @@ from zeno_qfi.qfi import (
     qfi_separable,
     qfi_sld_oracle,
 )
-from zeno_qfi.states import ghz_state, plus_state, tensor_state, zero_environment
+from zeno_qfi.states import SYSTEM, ghz_state, plus_state, tensor_state, zero_environment
 from zeno_qfi.sweeps import (
+    _CHECKS,
     DEFAULT_TOLERANCES,
     RUNNERS,
     SweepConfig,
     Table,
+    _random_pure,
     run_qfi_vs_gamma,
     run_ratio_vs_n,
     run_verify,
@@ -813,7 +815,8 @@ def test_verify_reports_the_worst_point(default_report):
 
     at = by_name["solver_vs_sld"].worst_at
     model = build_dephasing_model(*at[:3])
-    systems = [plus_state(at[0])] + ([ghz_state(1)] if at[0] == 1 else [])
+    drawn = _random_pure(np.random.default_rng(0), 1, SYSTEM)
+    systems = [plus_state(at[0])] + ([drawn] if at[0] == 1 else [])
     gaps = [abs(_solver_gap(at, s, qfi_sld_oracle(model, s, at[3]))) for s in systems]
     assert max(gaps) == by_name["solver_vs_sld"].measured
 
@@ -824,3 +827,70 @@ def test_verify_reports_the_worst_point(default_report):
         abs(_solver_gap(at, plus_state(at[0]), qfi_separable(p))),
     ]
     assert max(gaps) == by_name["solver_vs_closed_form"].measured
+
+
+SOLVER_CHECKS = ("solver_vs_sld", "solver_vs_closed_form", "ansatz_bounds_true_qfi")
+
+
+def _captured_gap_calls(monkeypatch, seed):
+    """The (grid, taus, inputs) each solver check of ``verify`` hands to
+    ``_relative_gaps`` at ``seed``, by check name."""
+    calls, real = [], sweeps._relative_gaps
+
+    def record(grid, taus, inputs):
+        grid = list(grid)
+        calls.append((grid, taus, inputs))
+        return real(grid, taus, inputs)
+
+    monkeypatch.setattr(sweeps, "_relative_gaps", record)
+    captured = {}
+    for check in _CHECKS:
+        if check.name in SOLVER_CHECKS:
+            check.measure(seed)
+            captured[check.name] = calls.pop()
+    monkeypatch.setattr(sweeps, "_relative_gaps", real)
+    return captured
+
+
+def _per_point_gaps(grid, taus, inputs):
+    """The gaps of ``_relative_gaps``, one ``minimize_qfi_bound`` call a
+    point: the grid point, then the interval, then the input."""
+    for n, omega0, gamma in grid:
+        model = build_dephasing_model(n, omega0, gamma)
+        basis = EnvOperatorBasis.single_qubit_paulis(model.labels)
+        for tau in taus:
+            p = AnalyticParams(n=n, omega0=omega0, gamma=gamma, tau=tau)
+            for system, reference in inputs(n):
+                full = tensor_state(system, zero_environment(n))
+                solved = minimize_qfi_bound(generator(model), basis, full, tau).qfi
+                value = reference(model, p, system)
+                yield (solved - value) / abs(value), (n, omega0, gamma, tau)
+
+
+def test_stacked_gaps_match_a_per_point_loop(monkeypatch):
+    """On the grids of the three solver checks, the stacked solve per N
+    yields the same points in the same order as one solve a point, and
+    each gap agrees to 1e-13."""
+    calls = _captured_gap_calls(monkeypatch, 0)
+    assert set(calls) == set(SOLVER_CHECKS)
+    for name, (grid, taus, inputs) in calls.items():
+        stacked = list(sweeps._relative_gaps(grid, taus, inputs))
+        looped = list(_per_point_gaps(grid, taus, inputs))
+        assert [at for _, at in stacked] == [at for _, at in looped], name
+        gaps = np.array([[a, b] for (a, _), (b, _) in zip(stacked, looped)])
+        np.testing.assert_allclose(gaps[:, 0], gaps[:, 1], rtol=0, atol=1e-13)
+
+
+def test_solver_vs_sld_draws_its_second_qubit_from_the_seed(monkeypatch):
+    """At N = 1 the check solves |+> and a qubit drawn from the seed: two
+    different states, and another seed draws another qubit.  At N > 1 it
+    solves |+> alone."""
+    drawn = []
+    for seed in (0, 1):
+        _, _, inputs = _captured_gap_calls(monkeypatch, seed)["solver_vs_sld"]
+        (plus, _), (other, _) = inputs(1)
+        assert np.array_equal(plus.amplitudes, plus_state(1).amplitudes)
+        assert not np.allclose(np.abs(other.amplitudes), np.abs(plus.amplitudes))
+        drawn.append(other.amplitudes)
+        assert len(inputs(2)) == 1
+    assert not np.allclose(drawn[0], drawn[1])
