@@ -17,7 +17,7 @@ import numpy as np
 
 from .dense import DenseOperator, check_dense_budget
 from .exceptions import DimensionMismatchError, TracePreservationError
-from .paulis import OperatorSum, PauliTerm, _rotate
+from .paulis import OperatorSum, PauliTerm, _flip_plan, _rotated_by, _rotations
 from .states import (
     ENVIRONMENT,
     SYSTEM,
@@ -58,6 +58,11 @@ class DilatedEvolution:
     @property
     def n_qubits(self) -> int:
         return len(self.labels)
+
+    @cached_property
+    def _plans(self) -> tuple:
+        """The flip plan of each rotation string, read once (frozen)."""
+        return tuple(_flip_plan(p.factors) for _, p in self.rotations)
 
     @cached_property
     def _pair_form(self) -> "_PairForm | None":
@@ -195,31 +200,34 @@ def evolve(u: DilatedEvolution, state: StateVector, t: float) -> StateVector:
     return StateVector(_evolved_amplitudes(u, state.amplitudes, t), state.labels)
 
 
-def _evolved_amplitudes(u: DilatedEvolution, amps: np.ndarray, t: float) -> np.ndarray:
-    """U(t) applied to raw amplitudes.  ``DilatedEvolution`` has checked the
-    size and unit coefficient of every rotation, so the kernel runs
-    directly."""
-    for rate, pauli in u.rotations:
-        amps = _rotate(pauli.factors, rate * t, amps)
-    return amps
+def _rotations_at(u: DilatedEvolution, t) -> list:
+    """The rotation list of ``u`` at time t, as ``paulis._rotations``."""
+    return _rotations(u._plans, [rate * t for rate, _ in u.rotations])
 
 
-def _evolved_columns(u: DilatedEvolution, columns: np.ndarray, t: float) -> np.ndarray:
-    """Row k is U(t) (f_k x |0...0>_E) for column f_k of a system-space
-    matrix, each row evolved in place.
+def _evolved_amplitudes(u: DilatedEvolution, amps: np.ndarray, t) -> np.ndarray:
+    """U(t) applied to the last axis of raw amplitudes, (..., 2^n), with t
+    a number or an array of one time per leading row.  ``DilatedEvolution``
+    has checked the size and unit coefficient of every rotation, so the
+    kernel runs directly."""
+    return _rotated_by(_rotations_at(u, t), amps)
 
-    The result holds (number of columns) x 2^n amplitudes, which must fit
-    in the dense budget.
+
+def _evolved_columns(labels, rotations, columns: np.ndarray) -> np.ndarray:
+    """Row k is the rotations applied to f_k x |0...0>_E for column f_k of
+    a system-space matrix, for each matrix of a stack ``columns`` shaped
+    (..., d_S, K): every row of the stack evolved in one pass, with the
+    rotations' angles one per leading row where they are arrays.
+
+    The rows of one matrix hold K x 2^n amplitudes, which must fit in the
+    dense budget.
     """
-    check_dense_budget(columns.shape[1] * 2**u.n_qubits)
-    d_sys = 2 ** u.labels.count(SYSTEM)
-    split = np.zeros((columns.shape[1], d_sys, 2**u.n_qubits // d_sys), np.complex128)
-    split[:, :, 0] = columns.T
+    n, (d_sys, k) = len(labels), columns.shape[-2:]
+    check_dense_budget(k * 2**n)
+    split = np.zeros(columns.shape[:-2] + (k, d_sys, 2**n // d_sys), np.complex128)
+    split[..., 0] = np.swapaxes(columns, -1, -2)
     # A view of ``split`` for the system-block-first layout, a copy otherwise.
-    evolved = _system_env_join(split, u.labels)
-    for row in evolved:
-        row[:] = _evolved_amplitudes(u, row, t)
-    return evolved
+    return _rotated_by(rotations, _system_env_join(split, labels))
 
 
 def kraus_from_dilation(u: DilatedEvolution, t: float) -> KrausSet:
@@ -233,7 +241,8 @@ def kraus_from_dilation(u: DilatedEvolution, t: float) -> KrausSet:
     _check_time(t)
     d_sys = 2 ** u.labels.count(SYSTEM)
     # stacked[s, s', l] = <s', l| U |s, 0>
-    stacked = _system_env_split(_evolved_columns(u, np.eye(d_sys), t), u.labels)
+    evolved = _evolved_columns(u.labels, _rotations_at(u, t), np.eye(d_sys))
+    stacked = _system_env_split(evolved, u.labels)
     operators = []
     for l in range(stacked.shape[2]):
         mat = stacked[:, :, l].T

@@ -6,12 +6,15 @@ conjugation) reads one representation, the symplectic (x, z) bit masks of
 i^{n_Y} X^x Z^z, with qubit 0 on the highest bit.
 
 Every Pauli string reaches a state vector through one flip kernel,
-``_apply_string``: seen as a (2,)*n tensor, the state's axes under X and Y
-are reversed, one half of each axis under Z or Y is negated, and the whole
-is scaled by i^{n_Y}.  It costs O(2^n) per string with no index array, and
-carries registers past the dense cap.  A sum is applied string by string,
-each added in term order, and a rotation exp(-i theta P / 2) is
-cos(theta/2) - i sin(theta/2) times the kernel's P.
+``_flipped``: seen as a (2,)*n tensor, the state's axes under X and Y are
+reversed, one half of each axis under Z or Y is negated, and the whole is
+scaled by i^{n_Y}.  Which axes and halves is the string's plan
+(``_flip_plan``), read once where a string is applied many times.  It
+costs O(2^n) per string with no index array, and carries registers past
+the dense cap.  The amplitudes may carry leading axes, a stack of vectors
+evolved in one pass, with a scale per leading row.  A sum is applied
+string by string, each added in term order, and a rotation
+exp(-i theta P / 2) is cos(theta/2) - i sin(theta/2) times the kernel's P.
 
 A sum whose terms carry one letter per qubit (qubit-wise commuting, as
 every generator the library builds is) also has an eigenframe,
@@ -27,6 +30,7 @@ from cmath import isfinite
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
 
@@ -197,29 +201,100 @@ _ALL, _REVERSED = slice(None), slice(None, None, -1)
 _NEGATED_HALF = {"Z": slice(1, 2), "Y": slice(0, 1)}
 
 
-def _apply_string(
-    factors: str, amplitudes: np.ndarray, scale: complex, out: np.ndarray | None = None
+class _FlipPlan(NamedTuple):
+    """The index plan of a unit-coefficient Pauli string on the last n axes
+    of a (..., 2, ..., 2) tensor: their shape (2,)*n, the axes the string
+    reverses (under X and Y), the halves it negates (under Z and Y) and its
+    phase i^{n_Y}."""
+
+    tensor: tuple
+    flip: tuple
+    negated: tuple
+    phase: complex
+
+
+def _flip_plan(factors: str) -> _FlipPlan:
+    n = len(factors)
+    flip = (Ellipsis, *(_REVERSED if ch in "XY" else _ALL for ch in factors))
+    negated = tuple(
+        (Ellipsis, _NEGATED_HALF[ch]) + (_ALL,) * (n - 1 - j)
+        for j, ch in enumerate(factors)
+        if ch in _NEGATED_HALF
+    )
+    return _FlipPlan((2,) * n, flip, negated, 1j ** factors.count("Y"))
+
+
+def _per_row(value, trailing: int):
+    """A number as it is; an array of values over the leading axes, shaped
+    to broadcast against ``trailing`` more axes.  An array of one value
+    broadcasts as that value, so it is returned as a number, which numpy
+    applies with less overhead."""
+    if not isinstance(value, np.ndarray):
+        return value
+    if value.size == 1:
+        return value.item()
+    return value.reshape(value.shape + (1,) * trailing)
+
+
+def _string_factor(plan: _FlipPlan, scale):
+    """The factor ``_flipped`` takes for ``scale`` times the planned string:
+    the scale times the string's phase, a number or, for one scale per
+    leading row, an array that broadcasts against the (2,)*n axes."""
+    return _per_row(scale, len(plan.tensor)) * plan.phase
+
+
+def _flipped(
+    plan: _FlipPlan, amplitudes: np.ndarray, factor, out: np.ndarray | None = None
 ) -> np.ndarray:
-    """``scale`` times a unit-coefficient Pauli string applied to the
-    amplitudes, by flipping and negating axes of the (2,)*n tensor, written
-    into ``out`` when given."""
-    shape = (2,) * len(factors)
-    flip = tuple(_REVERSED if ch in "XY" else _ALL for ch in factors)
-    phase = 1j ** factors.count("Y")
+    """The flip kernel: the planned string applied to the last axis of the
+    amplitudes, (..., 2^n), by flipping and negating axes of the (2,)*n
+    tensor, times ``factor`` (see ``_string_factor``), written into ``out``
+    when given."""
+    shape = amplitudes.shape[:-1] + plan.tensor
     target = None if out is None else out.reshape(shape)
-    result = np.multiply(amplitudes.reshape(shape)[flip], scale * phase, out=target)
-    for j, ch in enumerate(factors):
-        if ch in _NEGATED_HALF:
-            half = (_ALL,) * j + (_NEGATED_HALF[ch],)
-            np.multiply(result[half], -1.0, out=result[half])
-    return result.reshape(-1)
+    result = np.multiply(amplitudes.reshape(shape)[plan.flip], factor, out=target)
+    for half in plan.negated:
+        view = result[half]
+        np.multiply(view, -1.0, out=view)
+    return result.reshape(amplitudes.shape)
 
 
-def _rotate(factors: str, theta: float, amplitudes: np.ndarray) -> np.ndarray:
-    """exp(-i theta P / 2) applied to the amplitudes, using P^2 = I."""
-    out = _apply_string(factors, amplitudes, -1j * np.sin(theta / 2.0))
-    out += np.cos(theta / 2.0) * amplitudes
-    return out
+def _apply_string(
+    factors: str, amplitudes: np.ndarray, scale, out: np.ndarray | None = None
+) -> np.ndarray:
+    """``scale`` times a unit-coefficient Pauli string applied to the last
+    axis of the amplitudes, the scale a number or one per leading row."""
+    plan = _flip_plan(factors)
+    return _flipped(plan, amplitudes, _string_factor(plan, scale), out)
+
+
+def _rotations(plans, thetas) -> list:
+    """Rotations exp(-i theta P / 2) = cos(theta/2) - i sin(theta/2) P, one
+    per plan of P, as (plan, cos(theta/2), the flip factor of
+    -i sin(theta/2)), shaped to broadcast.  Each theta is a number or an
+    array of one value per leading row; all are taken through one call
+    of each ufunc."""
+    half = np.asarray(thetas, dtype=float) / 2.0
+    cos, sin = np.cos(half), -1j * np.sin(half)
+    return [
+        (plan, _per_row(c, 1), _string_factor(plan, s)) for plan, c, s in zip(plans, cos, sin)
+    ]
+
+
+def _rotated_by(rotations, amplitudes: np.ndarray) -> np.ndarray:
+    """The rotations of ``_rotations`` applied in order to the last axis of
+    the amplitudes, using P^2 = I."""
+    for plan, cos, factor in rotations:
+        out = _flipped(plan, amplitudes, factor)
+        out += cos * amplitudes
+        amplitudes = out
+    return amplitudes
+
+
+def _rotate(factors: str, theta, amplitudes: np.ndarray) -> np.ndarray:
+    """exp(-i theta P / 2) applied to the last axis of the amplitudes, theta
+    a number or one per leading row."""
+    return _rotated_by(_rotations([_flip_plan(factors)], [theta]), amplitudes)
 
 
 @dataclass(frozen=True, eq=False)
@@ -336,21 +411,22 @@ def _as_sum(op) -> OperatorSum:
 
 
 def _applied_vector(op, amplitudes: np.ndarray, out=None) -> np.ndarray:
-    """Amplitudes of O|psi> for a PauliTerm or an OperatorSum, written into
-    ``out`` when given, through the flip kernel: the first term is written
-    into the output and each later one added to it in term order."""
+    """Amplitudes of O|psi> for a PauliTerm or an OperatorSum, applied to
+    the last axis of ``amplitudes`` and written into ``out`` when given,
+    through the flip kernel: the first term is written into the output and
+    each later one added to it in term order."""
     op = _as_sum(op)
-    if 2**op.n_qubits != amplitudes.size:
+    if 2**op.n_qubits != amplitudes.shape[-1]:
         raise DimensionMismatchError(
-            f"operator on {op.n_qubits} qubits applied to {amplitudes.size} amplitudes"
+            f"operator on {op.n_qubits} qubits applied to {amplitudes.shape[-1]} amplitudes"
         )
     if out is None:
-        out = np.empty(amplitudes.size, dtype=np.complex128)
+        out = np.empty(amplitudes.shape, dtype=np.complex128)
     if not op.terms:
         out[:] = 0.0
         return out
     first, *rest = op.terms
-    _apply_string(first.factors, amplitudes, first.coefficient, out=out)
+    _apply_string(first.factors, amplitudes, first.coefficient, out)
     for t in rest:
         out += _apply_string(t.factors, amplitudes, t.coefficient)
     return out

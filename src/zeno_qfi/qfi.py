@@ -51,8 +51,10 @@ from .paulis import (
     OperatorSum,
     PauliTerm,
     _POWERS_OF_I,
-    _applied_vector,
+    _flipped,
     _masks,
+    _rotations,
+    _string_factor,
     pauli_product,
     paulis_commute,
 )
@@ -502,11 +504,11 @@ def _solve(h_variance, gram, cross) -> _Minima:
     )
 
 
-# A stacked solve takes its rows in chunks whose stacked arrays (register
-# vectors, or the table's gather of r1) hold at most this many complex
-# numbers, a quarter of one vector at N = 8; a chunk holds at least one
-# row.  With 2^16 a ``verify`` run peaked 1.7 MB higher in RSS; 2^14 ran
-# as fast.
+# A stacked solve, and a stack of SLD rows, takes its rows in chunks whose
+# stacked arrays (register vectors or evolved columns, or the table's
+# gather of r1) hold at most this many complex numbers, a quarter of one
+# vector at N = 8; a chunk holds at least one row.  With 2^16 a ``verify``
+# run peaked 1.7 MB higher in RSS; 2^14 ran as fast.
 _STACK_BUDGET = 2**14
 
 
@@ -666,13 +668,124 @@ def _density_from_initial(initial) -> tuple[np.ndarray, np.ndarray]:
     raise TypeError("initial must be a StateVector or DenseOperator")
 
 
-def _sld_information(rho: np.ndarray, drho: np.ndarray) -> float:
-    """QFI from the symmetric-logarithmic-derivative eigen expansion."""
+def _sld_information(rho: np.ndarray, drho: np.ndarray) -> np.ndarray:
+    """QFI from the symmetric-logarithmic-derivative eigen expansion, for
+    each matrix pair along the leading axes: the sum of
+    2 |<i|drho|j>|^2 / (lambda_i + lambda_j) over the eigenpairs of rho,
+    without the pairs whose lambda_i + lambda_j is not above
+    ``SLD_EIGENVALUE_FLOOR``."""
     lam, vecs = np.linalg.eigh(rho)
-    d = vecs.conj().T @ drho @ vecs
-    denom = lam[:, None] + lam[None, :]
+    # 2 |d|^2 / denom is formed in one array, in place, and each matrix
+    # is dropped once it is used up, which bounds the peak.
+    terms = np.abs(np.swapaxes(vecs.conj(), -1, -2) @ drho @ vecs)
+    del vecs
+    np.square(terms, out=terms)
+    terms *= 2.0
+    denom = lam[..., :, None] + lam[..., None, :]
     keep = denom > SLD_EIGENVALUE_FLOOR
-    return float(np.sum(2.0 * np.abs(d[keep]) ** 2 / denom[keep]))
+    np.divide(terms, denom, out=terms, where=keep)
+    terms *= keep
+    return terms.reshape(terms.shape[:-2] + (-1,)).sum(axis=-1)
+
+
+def _sld_rows(rows) -> np.ndarray:
+    """``qfi_sld_oracle`` for each row (evolution, initial, tau) of a stack.
+
+    The rows share their labels, rotation strings and the input's column
+    count; a stack that mixes them raises ``ValueError``.  Each row's rates
+    come from its own rotation list, and its generator from ``generator``,
+    called once for each distinct evolution, so a rotation list that does
+    not commute raises.  The rows are solved in chunks whose evolved
+    columns stay within ``_STACK_BUDGET`` (a chunk holds at least one row):
+    one rotation pass per string with an angle per row, each row's
+    generator accumulated in place, rho_S and drho_S by batched products
+    and one batched ``eigh``.  Each row's value equals a one-row stack's to
+    the bit.
+    """
+    rows = list(rows)
+    if not rows:
+        return np.zeros(0)
+    inputs, coefficients = [], {}
+    for evolution, initial, tau in rows:
+        if not (tau > 0 and isfinite(tau)):
+            raise ValueError(f"interval must be positive and finite, got {tau}")
+        columns, weights = _density_from_initial(initial)
+        if columns.shape[0] != 2 ** evolution.labels.count(SYSTEM):
+            raise DimensionMismatchError("initial state does not match the system register")
+        if id(evolution) not in coefficients:
+            terms = generator(evolution).terms
+            coefficients[id(evolution)] = {t.factors: t.coefficient for t in terms}
+        inputs.append((columns, weights))
+    first = rows[0][0]
+    strings = [p.factors for _, p in first.rotations]
+    for (evolution, _, _), (columns, _) in zip(rows, inputs):
+        if (
+            evolution.labels != first.labels
+            or [p.factors for _, p in evolution.rotations] != strings
+            or columns.shape != inputs[0][0].shape
+        ):
+            raise ValueError(
+                "the stacked rows must share their labels, rotation strings and column count"
+            )
+    # The generator's strings in its term order; a row whose generator
+    # pruned a string takes it with coefficient 0.
+    terms = sorted(set(strings))
+    plan_of = dict(zip(strings, first._plans))
+    term_plans = [plan_of[f] for f in terms]
+    rates = np.array([[rate for rate, _ in u.rotations] for u, _, _ in rows]).reshape(len(rows), -1)
+    thetas = rates * np.array([tau for _, _, tau in rows], dtype=float)[:, None]
+    coefs = np.array(
+        [[coefficients[id(u)].get(f, 0.0) for f in terms] for u, _, _ in rows], dtype=np.complex128
+    ).reshape(len(rows), -1)
+    columns = np.array([c for c, _ in inputs])
+    weights = np.array([w for _, w in inputs])
+    step = max(1, _STACK_BUDGET // (columns.shape[2] * 2**first.n_qubits))
+    return _joined([
+        _sld_chunk(first, term_plans, *(a[i : i + step] for a in (thetas, coefs, columns, weights)))
+        for i in range(0, len(rows), step)
+    ])
+
+
+def _sld_chunk(first, term_plans, thetas, coefs, columns, weights) -> np.ndarray:
+    """The SLD QFI of each row of a chunk of ``_sld_rows``: its columns
+    (R, d_S, K) and weights (R, K, K), evolved by the rotation strings of
+    ``first`` at the angles ``thetas`` (R, J), with the generator's terms
+    weighted by ``coefs`` (R, T)."""
+    labels = first.labels
+    rotations = _rotations(first._plans, thetas.T[:, :, None])
+    # Each array is dropped once it is used up, which bounds the peak.
+    evolved = _evolved_columns(labels, rotations, columns)
+    # Each row's generator term by term, as ``_applied_vector`` applies a
+    # sum: the first term written into the output, each later one added.
+    generated = np.empty_like(evolved) if term_plans else np.zeros_like(evolved)
+    for j, (plan, coef) in enumerate(zip(term_plans, coefs.T)):
+        factor = _string_factor(plan, coef[:, None])
+        if j == 0:
+            _flipped(plan, evolved, factor, out=generated)
+        else:
+            generated += _flipped(plan, evolved, factor)
+    v = _system_env_split(evolved, labels)
+    del evolved
+    n_rows, k, d_sys, d_env = v.shape
+    # conj_weighted[r, k] = sum_k' W_kk' V_k'^*, so rho_S[a, c] sums
+    # V_k[a, b] conj_weighted[k][c, b] over k and the environment index b:
+    # one product of (d_S, K d_E) by (K d_E, d_S) matrices per row.
+    conj_weighted = weights.conj() @ v.reshape(n_rows, k, -1)
+    np.conjugate(conj_weighted, out=conj_weighted)
+    right = conj_weighted.reshape(v.shape).transpose(0, 1, 3, 2).reshape(n_rows, k * d_env, d_sys)
+    del conj_weighted
+
+    def left(a):
+        return a.transpose(0, 2, 1, 3).reshape(n_rows, d_sys, k * d_env)
+
+    rho = left(v) @ right
+    del v
+    # X = -i sum W_kk' (G V_k) V_k'^dag, as dV_k = -i G V_k.
+    x = left(_system_env_split(generated, labels)) @ right
+    del generated, right
+    x *= -1j
+    x += np.swapaxes(x.conj(), 1, 2)
+    return _sld_information(rho, x)
 
 
 def qfi_sld_oracle(evolution: DilatedEvolution, initial, tau: float) -> float:
@@ -687,36 +800,19 @@ def qfi_sld_oracle(evolution: DilatedEvolution, initial, tau: float) -> float:
     refuses a rotation list that does not commute.  This path works in the
     Schroedinger picture and is independent of the variational solver,
     whose oracle it is: it evolves by the rotation list and never builds
-    the generator's eigenframe, through which the solver evolves.  The
-    evolved columns hold (number of columns) x 2^n amplitudes, which must
-    fit in the dense budget; on a pure input at N = 8 the call peaks at
-    about 5 such columns.
+    the generator's eigenframe, through which the solver evolves.  It is
+    the one-row case of the stacked ``_sld_rows``, which ``verify`` calls
+    once per register size.  The evolved columns hold
+    (number of columns) x 2^n amplitudes, which must fit in the dense
+    budget; on a pure input at N = 8 to 10 the call peaks at 5.0 such
+    columns.
+
+    The SLD sum drops each eigenpair whose lambda_i + lambda_j is not above
+    ``SLD_EIGENVALUE_FLOOR``.  Where rho_S is about to lose rank, its small
+    eigenvalue falls under the floor and its term of the QFI is dropped
+    with no warning: on |+> with omega0 = gamma = 1 the call returns about
+    1.0 in place of omega0^2 cos^2(gamma tau) + gamma^2 = 2.0 wherever
+    |gamma tau - k pi| <= about 1e-5, tau -> 0 included.  The SLD QFI is
+    discontinuous where the rank changes (Safranek, PRA 95, 052320 (2017)).
     """
-    if not (tau > 0 and isfinite(tau)):
-        raise ValueError(f"interval must be positive and finite, got {tau}")
-    columns, weights = _density_from_initial(initial)
-    if columns.shape[0] != 2 ** evolution.labels.count(SYSTEM):
-        raise DimensionMismatchError("initial state does not match the system register")
-    gen = generator(evolution)
-    labels = evolution.labels
-    # Each array is dropped once it is used up, which bounds the peak.
-    evolved = _evolved_columns(evolution, columns, tau)
-    generated = np.empty_like(evolved)
-    for k in range(len(evolved)):
-        _applied_vector(gen, evolved[k], out=generated[k])
-    v = _system_env_split(evolved, labels)
-    del evolved
-    # conj_weighted[k] = sum_k' W_kk' V_k'^*, so rho_S[a, c] sums
-    # V_k[a, b] conj_weighted[k][c, b] over k and the environment index b.
-    conj_weighted = np.tensordot(weights.conj(), v, axes=1)
-    np.conjugate(conj_weighted, out=conj_weighted)
-    rho = np.tensordot(v, conj_weighted, axes=([0, 2], [0, 2]))
-    del v
-    # X = -i sum W_kk' (G V_k) V_k'^dag, as dV_k = -i G V_k.
-    x = np.tensordot(
-        _system_env_split(generated, labels), conj_weighted, axes=([0, 2], [0, 2])
-    )
-    del generated, conj_weighted
-    x *= -1j
-    x += x.conj().T
-    return _sld_information(rho, x)
+    return float(_sld_rows([(evolution, initial, tau)])[0])

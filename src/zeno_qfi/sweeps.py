@@ -22,9 +22,9 @@ import numpy as np
 
 from .channels import (
     DilatedEvolution,
+    _evolved_amplitudes,
     apply_channel,
     build_dephasing_model,
-    evolve,
     generator,
     kraus_from_dilation,
 )
@@ -34,11 +34,11 @@ from .qfi import (
     AnalyticParams,
     EnvOperatorBasis,
     _minimize_rows,
+    _sld_rows,
     qfi_ghz,
     qfi_ghz_large_n,
     qfi_ratio_asymptote,
     qfi_separable,
-    qfi_sld_oracle,
 )
 from .paulis import PauliTerm
 from .states import (
@@ -276,12 +276,13 @@ def _relative_gaps(grid, taus, inputs):
     at each (N, omega0, gamma) grid point, interval and input, in that
     order, each paired with its point (N, omega0, gamma, tau).
 
-    ``inputs(n)`` lists (system state, reference) pairs at N, and
-    ``reference(model, p, system)`` gives the value the minimum is compared
-    with; each state is paired with |0...0>_E.  Each run of grid points
-    with one N is one stacked solve, whose rows (generator, state, tau)
-    cover every rate pair, interval and input of the run, on the basis and
-    full states built once for it.
+    ``inputs(n)`` lists (system state, reference) pairs at N, each state
+    paired with |0...0>_E.  The reference is a closed form of the
+    ``AnalyticParams``, or None for the SLD oracle.  Each run of grid
+    points with one N is one stacked solve, whose rows (generator, state,
+    tau) cover every rate pair, interval and input of the run, on the basis
+    and full states built once for it, and its SLD references are one
+    stack of ``_sld_rows``.
     """
     for n, points in itertools.groupby(grid, key=lambda point: point[0]):
         pairs = inputs(n)
@@ -290,17 +291,22 @@ def _relative_gaps(grid, taus, inputs):
         points = list(points)
         models = [build_dephasing_model(*point) for point in points]
         basis = EnvOperatorBasis.single_qubit_paulis(models[0].labels)
-        rows, references = [], []
+        rows, oracle_rows, references, at = [], [], [], []
         for model, (_, omega0, gamma) in zip(models, points):
             h_hat = generator(model)
             for tau in taus:
                 p = AnalyticParams(n=n, omega0=omega0, gamma=gamma, tau=tau)
                 for full, (system, reference) in zip(fulls, pairs):
                     rows.append((h_hat, full, tau))
-                    references.append((reference(model, p, system), (n, omega0, gamma, tau)))
+                    if reference is None:
+                        oracle_rows.append((model, system, tau))
+                    references.append(None if reference is None else reference(p))
+                    at.append((n, omega0, gamma, tau))
         solved = _minimize_rows(basis, rows).qfi.tolist()
-        for value, (reference, at) in zip(solved, references):
-            yield (value - reference) / abs(reference), at
+        oracle = iter(_sld_rows(oracle_rows).tolist())
+        for value, reference, point in zip(solved, references, at):
+            reference = next(oracle) if reference is None else reference
+            yield (value - reference) / abs(reference), point
 
 
 def _largest_gap(gaps) -> tuple[float, tuple]:
@@ -314,10 +320,7 @@ def _solver_vs_closed_form(grid, taus) -> tuple[float, tuple]:
     state families, and the point where it sits."""
 
     def inputs(n):
-        return (
-            (ghz_state(n), lambda model, p, system: qfi_ghz(p)),
-            (plus_state(n), lambda model, p, system: qfi_separable(p)),
-        )
+        return ((ghz_state(n), qfi_ghz), (plus_state(n), qfi_separable))
 
     return _largest_gap(_relative_gaps(grid, taus, inputs))
 
@@ -479,28 +482,27 @@ def _channel_vs_partial_trace(seed: int) -> tuple[float, tuple]:
     random density matrices and intervals, and the point where it sits."""
     rng = np.random.default_rng(seed)
     model = build_dephasing_model(1, 1.0, 1.0)
+    draws = [(_random_density(rng, 2), float(rng.uniform(1e-3, 2 * math.pi))) for _ in range(50)]
+    times = np.array([t for _, t in draws])
     # The environment starts in |0>, so U rho U^dag on the register needs
-    # only the columns U|s,0>: it is cols rho cols^dag.
+    # only the columns U|s,0>: it is cols rho cols^dag.  Both columns are
+    # evolved for every draw's time in one pass.
     env0 = zero_environment(1)
-    embedded = [tensor_state(basis_state(s, (SYSTEM,)), env0) for s in range(2)]
+    embedded = np.stack(
+        [tensor_state(basis_state(s, (SYSTEM,)), env0).amplitudes for s in range(2)]
+    )
+    rows = np.broadcast_to(embedded, (len(draws),) + embedded.shape)
+    cols = np.swapaxes(_evolved_amplitudes(model, rows, times[:, None]), 1, 2)
+    full = cols @ np.stack([rho.matrix for rho, _ in draws]) @ np.swapaxes(cols.conj(), 1, 2)
     gaps = []
-    for _ in range(50):
-        rho = _random_density(rng, 2)
-        t = float(rng.uniform(1e-3, 2 * math.pi))
+    for (rho, t), register in zip(draws, full):
         via_kraus = apply_channel(kraus_from_dilation(model, t), rho).matrix
-        cols = np.column_stack([evolve(model, e, t).amplitudes for e in embedded])
-        via_trace = partial_trace(
-            DenseOperator(cols @ rho.matrix @ cols.conj().T), model.labels, SYSTEM
-        ).matrix
+        via_trace = partial_trace(DenseOperator(register), model.labels, SYSTEM).matrix
         gaps.append((float(np.abs(via_kraus - via_trace).max()), (1, 1.0, 1.0, t)))
     return _largest_gap(gaps)
 
 
 _RATES = (0.5, 1.0, 1.2)
-
-
-def _sld_reference(model, p, system) -> float:
-    return qfi_sld_oracle(model, system, p.tau)
 
 
 def _solver_vs_sld(seed: int) -> tuple[float, tuple]:
@@ -512,7 +514,7 @@ def _solver_vs_sld(seed: int) -> tuple[float, tuple]:
 
     def inputs(n):
         systems = [plus_state(n)] + ([drawn] if n == 1 else [])
-        return [(s, _sld_reference) for s in systems]
+        return [(s, None) for s in systems]
 
     grid = itertools.product((1, 2, 3), _RATES, _RATES)
     return _largest_gap(_relative_gaps(grid, (0.1, 0.5), inputs))
@@ -524,7 +526,7 @@ def _ansatz_bounds_true_qfi(seed: int) -> tuple[float, tuple]:
     point where it sits."""
 
     def inputs(n):
-        return [(ghz_state(n), _sld_reference)]
+        return [(ghz_state(n), None)]
 
     grid = itertools.product((2, 3), (1.0,), (0.5, 1.0))
     return min(_relative_gaps(grid, (0.1, 0.5), inputs), key=lambda item: item[0])

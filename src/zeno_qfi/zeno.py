@@ -18,7 +18,9 @@ P_m = |K^m env0|^2.
 - Any other rotation list runs the collapse loop ``_survival_by_collapse``
   (K applied m times to the environment vector: evolve psi0 x v, contract
   with psi0*, record the squared norm, renormalize), which costs
-  O(m 2^n).  The loop is also the reference the closed form is checked
+  O(m 2^n).  It evolves the register in system-first order, with the
+  rotation strings permuted to match once per call, so no step reorders
+  a vector.  The loop is also the reference the closed form is checked
   against, in the tests and in ``verify``.
 """
 
@@ -32,18 +34,24 @@ from math import isfinite, sqrt
 
 import numpy as np
 
-from .channels import DilatedEvolution, _evolved_amplitudes
+from .channels import DilatedEvolution
 from .dense import DenseOperator, check_dense_budget
 from .exceptions import DimensionMismatchError, HermiticityError
-from .paulis import OperatorSum, PauliTerm, apply_operator, variance
+from .paulis import (
+    OperatorSum,
+    PauliTerm,
+    _flip_plan,
+    _rotated_by,
+    _rotations,
+    apply_operator,
+    variance,
+)
 from .states import (
     ENVIRONMENT,
     SYSTEM,
     StateVector,
     Subsystem,
-    _system_env_join,
-    _system_env_split,
-    system_env_matrix,
+    _system_env_axes,
     tensor_state,
 )
 
@@ -125,10 +133,12 @@ def _survival_by_collapse(
     schedule: ZenoSchedule,
 ) -> float:
     """Survival by collapse, for any rotation list: the filtered map K
-    applied m times to the environment vector v, from v = env0.  Each step
-    joins psi0 x v into register order, evolves the whole register by the
-    rotation list, contracts the system axes with psi0* to give K v,
-    records the captured weight w = |K v|^2 and goes on with K v / sqrt(w).
+    applied m times to the environment vector v, from v = env0.  The
+    rotation strings are read once per call, with their qubits permuted
+    into system-block-first order and their angles at tau, so that the
+    register is psi0 x v as it stands.  Each step evolves it by the
+    rotations, contracts the system axes with psi0* to give K v, records
+    the captured weight w = |K v|^2 and goes on with K v / sqrt(w).
 
     A step that captures no weight (below 1e-300) ends the run with 0.0.
     If every weight is positive but their running product falls below the
@@ -138,11 +148,14 @@ def _survival_by_collapse(
     """
     _check_register(u, projector, env0)
     psi0 = projector.psi0.amplitudes
-    split = system_env_matrix(tensor_state(projector.psi0, env0))
+    axes = _system_env_axes(u.labels)
+    plans = [_flip_plan("".join(p.factors[i] for i in axes)) for _, p in u.rotations]
+    rotations = _rotations(plans, [rate * schedule.tau for rate, _ in u.rotations])
+    register = tensor_state(projector.psi0, env0).amplitudes
     probability = 1.0
     for step in range(1, schedule.m + 1):
-        amps = _evolved_amplitudes(u, _system_env_join(split, u.labels), schedule.tau)
-        env_vec = psi0.conj() @ _system_env_split(amps, u.labels)
+        amps = _rotated_by(rotations, register)
+        env_vec = psi0.conj() @ amps.reshape(psi0.size, -1)
         weight = float(np.vdot(env_vec, env_vec).real)
         if weight < 1e-300:
             return 0.0
@@ -154,7 +167,7 @@ def _survival_by_collapse(
                 f"({probability:.3e} < {sys.float_info.min:.3e}), "
                 f"with every captured weight positive"
             )
-        split = np.outer(psi0, env_vec) / sqrt(weight)
+        register = (psi0[:, None] * env_vec / sqrt(weight)).reshape(-1)
     return probability
 
 

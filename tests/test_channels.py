@@ -4,6 +4,9 @@ import pytest
 from zeno_qfi.channels import (
     DilatedEvolution,
     KrausSet,
+    _evolved_amplitudes,
+    _evolved_columns,
+    _rotations_at,
     apply_channel,
     build_dephasing_model,
     evolve,
@@ -22,8 +25,10 @@ from zeno_qfi.states import (
     ENVIRONMENT,
     SYSTEM,
     StateVector,
+    basis_state,
     ghz_state,
     plus_state,
+    register_order,
     tensor_state,
     zero_environment,
 )
@@ -383,3 +388,79 @@ def test_finite_difference_rejects_non_unitary_family():
     a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     with pytest.raises(HermiticityError, match="residue"):
         finite_difference_generator(lambda t: np.eye(4) + t * a, 1e-4)
+
+
+# ---- stacked evolution ----
+
+
+def stack_models():
+    """A two-pair dephasing model in block order, the same rotations on an
+    interleaved (S, E, S, E) register, and a list of X, Y and Z strings on
+    an (E, S, S) register."""
+    block = build_dephasing_model(2, 0.7, 1.3)
+    interleaved = DilatedEvolution(
+        (SYSTEM, ENVIRONMENT) * 2,
+        [
+            (rate, PauliTerm(1.0, "".join(p.factors[i] for i in (0, 2, 1, 3))))
+            for rate, p in block.rotations
+        ],
+    )
+    strings = (("XYZ", 0.9), ("YIY", -1.4), ("ZXI", 0.3))
+    mixed = DilatedEvolution(
+        (ENVIRONMENT, SYSTEM, SYSTEM), [(rate, PauliTerm(1.0, s)) for s, rate in strings]
+    )
+    return block, interleaved, mixed
+
+
+@pytest.mark.parametrize("model", stack_models(), ids=["block", "interleaved", "mixed"])
+def test_stacked_evolution_equals_per_row_evolve(model):
+    """``_evolved_amplitudes`` on a (rows, 2^n) stack with a time per row,
+    and on (rows, 2, 2^n) with the row's time shared by its pair, equals
+    ``evolve`` row by row to the bit."""
+    rng = np.random.default_rng(3)
+    dim = 2**model.n_qubits
+    amps = rng.normal(size=(4, 2, dim)) + 1j * rng.normal(size=(4, 2, dim))
+    times = rng.uniform(-3.0, 3.0, size=4)
+
+    def looped(row, t):
+        return evolve(model, StateVector(row, model.labels), float(t)).amplitudes
+
+    flat = _evolved_amplitudes(model, amps[:, 0], times)
+    assert np.array_equal(flat, [looped(a, t) for a, t in zip(amps[:, 0], times)])
+    paired = _evolved_amplitudes(model, amps, times[:, None])
+    assert np.array_equal(paired, [[looped(a, t) for a in pair] for pair, t in zip(amps, times)])
+
+
+@pytest.mark.parametrize("model", stack_models(), ids=["block", "interleaved", "mixed"])
+def test_kraus_and_evolved_columns_equal_per_column_evolve(model):
+    """Every column of ``_evolved_columns``, in one matrix and in a stack
+    of matrices with a time per matrix, and every Kraus operator, equals
+    ``evolve`` of f x |0...0>_E column by column to the bit."""
+    rng = np.random.default_rng(8)
+    n_sys = model.labels.count(SYSTEM)
+    env0 = zero_environment(model.n_qubits - n_sys)
+    d_sys = 2**n_sys
+    # Index i of a system-first vector sits at register_order[i].
+    to_register = np.argsort(register_order(model.labels))
+
+    def column(s, t):
+        first = tensor_state(basis_state(s, (SYSTEM,) * n_sys), env0).amplitudes
+        return evolve(model, StateVector(first[to_register], model.labels), float(t)).amplitudes
+
+    t = 0.8
+    eye = _evolved_columns(model.labels, _rotations_at(model, t), np.eye(d_sys))
+    assert np.array_equal(eye, [column(s, t) for s in range(d_sys)])
+    times = rng.uniform(0.1, 2.0, size=3)
+    stacked = np.stack([np.eye(d_sys)] * 3)
+    evolved = _evolved_columns(model.labels, _rotations_at(model, times[:, None]), stacked)
+    assert np.array_equal(evolved, [[column(s, r) for s in range(d_sys)] for r in times])
+    # K_l[s', s] = <s', l| U |s, 0>, read from the columns in system-first
+    # order.
+    kraus = kraus_from_dilation(model, t)
+    cols = np.array([column(s, t) for s in range(d_sys)])[:, register_order(model.labels)]
+    blocks = cols.reshape(d_sys, d_sys, -1)
+    expected = [blocks[:, :, l].T for l in range(blocks.shape[2])]
+    expected = [k for k in expected if np.linalg.norm(k) >= 1e-12]
+    assert len(kraus.operators) == len(expected)
+    for op, k in zip(kraus.operators, expected):
+        assert np.array_equal(op.matrix, k)

@@ -16,6 +16,7 @@ from zeno_qfi.paulis import (
     PauliTerm,
     _apply_string,
     _applied_vector,
+    _rotate,
     apply_operator,
     pauli_product,
     pauli_rotation_apply,
@@ -449,3 +450,39 @@ def test_rotation_preserves_norm():
 def test_rotation_requires_unit_coefficient():
     with pytest.raises(ValueError, match="unit"):
         pauli_rotation_apply(PauliTerm(2.0, "X"), 0.3, plus_state(1))
+
+
+# ---- stacks along leading axes ----
+
+
+@pytest.mark.parametrize("factors", ["X", "Y", "Z", "XYZ", "IZYX", "YYIZZ"])
+def test_stacked_kernel_equals_a_per_row_loop(factors):
+    """``_apply_string`` with a scale per row, ``_rotate`` with a theta per
+    row and ``_applied_vector`` on a (rows, 2^n) stack equal a loop over the
+    rows to the bit; on a (rows, columns, 2^n) stack, a theta per row is
+    shared by the row's columns."""
+    rng = np.random.default_rng(len(factors) + 7 * factors.count("Y"))
+    n = len(factors)
+    amps = rng.normal(size=(5, 2**n)) + 1j * rng.normal(size=(5, 2**n))
+    scales = rng.normal(size=5) + 1j * rng.normal(size=5)
+    thetas = rng.uniform(-7.0, 7.0, size=5)
+    looped = [_apply_string(factors, a, complex(c)) for a, c in zip(amps, scales)]
+    assert np.array_equal(_apply_string(factors, amps, scales), looped)
+    looped = [_rotate(factors, float(t), a) for a, t in zip(amps, thetas)]
+    assert np.array_equal(_rotate(factors, thetas, amps), looped)
+    op = random_operator(rng, n, hermitian=False)
+    assert np.array_equal(_applied_vector(op, amps), [_applied_vector(op, a) for a in amps])
+    block = rng.normal(size=(5, 3, 2**n)) + 1j * rng.normal(size=(5, 3, 2**n))
+    looped = [[_rotate(factors, float(t), a) for a in row] for row, t in zip(block, thetas)]
+    assert np.array_equal(_rotate(factors, thetas[:, None], block), looped)
+
+
+def test_a_stack_of_one_row_equals_the_unstacked_call():
+    """A one-row stack with its scale or theta in a one-value array gives
+    the unstacked call's values to the bit."""
+    rng = np.random.default_rng(5)
+    v = random_state(rng, 3).amplitudes
+    applied = _apply_string("XYZ", v[None], np.array([0.3 - 1j]))
+    assert np.array_equal(applied[0], _apply_string("XYZ", v, 0.3 - 1j))
+    rotated = _rotate("YZX", np.array([[1.3]]), v[None, None])
+    assert np.array_equal(rotated[0, 0], _rotate("YZX", 1.3, v))

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -622,7 +623,7 @@ def test_solver_leaves_the_flip_kernel_to_large_registers(monkeypatch):
 
         return call
 
-    for name in ("_rotate", "_apply_string"):
+    for name in ("_rotate", "_apply_string", "_flipped"):
         monkeypatch.setattr(paulis, name, forbidden(name))
     model, h_hat = model_setup(5, 1.0, 1.0)
     basis = EnvOperatorBasis.single_qubit_paulis(model.labels)
@@ -982,6 +983,112 @@ def test_sld_information_matches_double_loop():
                 if lam[i] + lam[j] > SLD_EIGENVALUE_FLOOR:
                     loop += 2.0 * abs(d[i, j]) ** 2 / (lam[i] + lam[j])
         assert _sld_information(rho, drho) == pytest.approx(loop, rel=1e-12)
+
+
+def interleaved_dephasing(n, omega0, gamma):
+    """``build_dephasing_model`` on the (S, E, S, E, ...) register: system
+    qubit a at position 2a and its partner at 2a + 1."""
+    block = build_dephasing_model(n, omega0, gamma)
+    order = [q for a in range(n) for q in (a, n + a)]
+    return DilatedEvolution(
+        (SYSTEM, ENVIRONMENT) * n,
+        [
+            (rate, PauliTerm(1.0, "".join(p.factors[q] for q in order)))
+            for rate, p in block.rotations
+        ],
+    )
+
+
+def random_density_operator(rng, n):
+    a = rng.normal(size=(2**n, 2**n)) + 1j * rng.normal(size=(2**n, 2**n))
+    rho = a @ a.conj().T
+    return DenseOperator(rho / np.trace(rho).real)
+
+
+def sld_stack(n, build, rng):
+    """Rows of one register with mixed rates and intervals, on pure inputs
+    (GHZ, |+>^N and random states) and on random density matrices."""
+    models = [build(n, *rng.uniform(0.3, 1.5, size=2)) for _ in range(3)]
+    pure = [ghz_state(n), plus_state(n)] + [
+        StateVector(rng.normal(size=2**n) + 1j * rng.normal(size=2**n), (SYSTEM,) * n).normalized()
+        for _ in range(2)
+    ]
+    taus = rng.uniform(0.05, 2.0, size=len(models) * len(pure))
+    rows = [(m, s, t) for (m, s), t in zip(itertools.product(models, pure), taus)]
+    mixed = [(m, random_density_operator(rng, n), t) for m, t in zip(models, taus)]
+    return rows, mixed
+
+
+@pytest.mark.parametrize("build", [build_dephasing_model, interleaved_dephasing])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_sld_rows_match_one_row_calls(n, build):
+    """A stack of rows with mixed rates and intervals, pure or mixed inputs,
+    on the block-first and the interleaved register, gives each row's
+    one-row value to 1e-12 (the docstring claims the bit, which holds
+    here)."""
+    rng = np.random.default_rng(20 + n)
+    for rows in sld_stack(n, build, rng):
+        stacked = qfi._sld_rows(rows)
+        looped = np.array([qfi_sld_oracle(*row) for row in rows])
+        np.testing.assert_allclose(stacked, looped, rtol=1e-12, atol=0)
+        assert np.array_equal(stacked, looped)
+
+
+def test_sld_stack_cut_into_chunks_solves_as_one(monkeypatch):
+    """A budget below one evolved column cuts the stack into one-row chunks,
+    which give the values of the stack solved whole to the bit."""
+    rng = np.random.default_rng(4)
+    rows, mixed = sld_stack(2, build_dephasing_model, rng)
+    whole = [qfi._sld_rows(rows), qfi._sld_rows(mixed)]
+    monkeypatch.setattr(qfi, "_STACK_BUDGET", 1)
+    for stack, expected in zip((rows, mixed), whole):
+        assert np.array_equal(qfi._sld_rows(stack), expected)
+    monkeypatch.setattr(qfi, "_STACK_BUDGET", 3 * 2**4)
+    assert np.array_equal(qfi._sld_rows(rows), whole[0])
+    assert qfi._sld_rows([]).shape == (0,)
+
+
+def test_sld_stack_refuses_rows_that_do_not_share_a_stack():
+    """Rows on different labels, rotation strings or input column counts
+    cannot share one stack, and a row whose rotations do not commute is
+    refused by its own generator, wherever it sits."""
+    one = build_dephasing_model(1, 1.0, 0.8)
+    rho = DenseOperator(np.eye(2) / 2)
+    other_strings = DilatedEvolution(
+        (SYSTEM, ENVIRONMENT), ((1.0, PauliTerm(1.0, "ZI")), (0.8, PauliTerm(1.0, "ZZ")))
+    )
+    two = build_dephasing_model(2, 1.0, 0.8)
+    stacks = [
+        [(two, plus_state(2), 0.5), (interleaved_dephasing(2, 1.0, 0.8), plus_state(2), 0.5)],
+        [(one, plus_state(1), 0.5), (other_strings, plus_state(1), 0.5)],
+        [(one, plus_state(1), 0.5), (one, rho, 0.5)],
+    ]
+    for stack in stacks:
+        for row in stack:
+            qfi_sld_oracle(*row)
+        with pytest.raises(ValueError, match="share their labels"):
+            qfi._sld_rows(stack)
+    non_commuting = DilatedEvolution(
+        (SYSTEM, ENVIRONMENT), ((1.0, PauliTerm(1.0, "ZI")), (1.0, PauliTerm(1.0, "XX")))
+    )
+    with pytest.raises(ValueError, match="commuting"):
+        qfi._sld_rows([(one, plus_state(1), 0.5), (non_commuting, plus_state(1), 0.5)])
+
+
+def test_oracle_refusals_on_its_arguments():
+    """The one-row case refuses what the oracle always refused: a
+    non-positive or non-finite interval, an input on the wrong register,
+    and an initial that is neither a state nor a density matrix."""
+    model = build_dephasing_model(1, 1.0, 1.0)
+    for tau in (0.0, -0.5, math.inf, math.nan):
+        with pytest.raises(ValueError, match="positive and finite"):
+            qfi_sld_oracle(model, plus_state(1), tau)
+    with pytest.raises(DimensionMismatchError, match="system register"):
+        qfi_sld_oracle(model, plus_state(2), 0.5)
+    with pytest.raises(ValueError, match="system qubits only"):
+        qfi_sld_oracle(model, zero_environment(1), 0.5)
+    with pytest.raises(TypeError, match="StateVector or DenseOperator"):
+        qfi_sld_oracle(model, np.eye(2) / 2, 0.5)
 
 
 def test_oracle_rejects_non_commuting_rotations():

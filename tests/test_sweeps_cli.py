@@ -853,8 +853,9 @@ def _captured_gap_calls(monkeypatch, seed):
 
 
 def _per_point_gaps(grid, taus, inputs):
-    """The gaps of ``_relative_gaps``, one ``minimize_qfi_bound`` call a
-    point: the grid point, then the interval, then the input."""
+    """The gaps of ``_relative_gaps``, one ``minimize_qfi_bound`` call and
+    one reference a point (``qfi_sld_oracle`` where the input names
+    none): the grid point, then the interval, then the input."""
     for n, omega0, gamma in grid:
         model = build_dephasing_model(n, omega0, gamma)
         basis = EnvOperatorBasis.single_qubit_paulis(model.labels)
@@ -863,7 +864,10 @@ def _per_point_gaps(grid, taus, inputs):
             for system, reference in inputs(n):
                 full = tensor_state(system, zero_environment(n))
                 solved = minimize_qfi_bound(generator(model), basis, full, tau).qfi
-                value = reference(model, p, system)
+                if reference is None:
+                    value = qfi_sld_oracle(model, system, tau)
+                else:
+                    value = reference(p)
                 yield (solved - value) / abs(value), (n, omega0, gamma, tau)
 
 
@@ -894,3 +898,35 @@ def test_solver_vs_sld_draws_its_second_qubit_from_the_seed(monkeypatch):
         drawn.append(other.amplitudes)
         assert len(inputs(2)) == 1
     assert not np.allclose(drawn[0], drawn[1])
+
+
+def per_draw_channel_gaps(seed):
+    """``_channel_vs_partial_trace`` as it was, a draw at a time: each draw's
+    two embedded columns evolved by ``evolve``, U rho U^dag formed, and the
+    partial trace compared with the Kraus route."""
+    from zeno_qfi.channels import apply_channel, evolve, kraus_from_dilation
+    from zeno_qfi.dense import DenseOperator, partial_trace
+    from zeno_qfi.states import basis_state
+
+    rng = np.random.default_rng(seed)
+    model = build_dephasing_model(1, 1.0, 1.0)
+    env0 = zero_environment(1)
+    embedded = [tensor_state(basis_state(s, (SYSTEM,)), env0) for s in range(2)]
+    gaps = []
+    for _ in range(50):
+        rho = sweeps._random_density(rng, 2)
+        t = float(rng.uniform(1e-3, 2 * math.pi))
+        via_kraus = apply_channel(kraus_from_dilation(model, t), rho).matrix
+        cols = np.column_stack([evolve(model, e, t).amplitudes for e in embedded])
+        via_trace = partial_trace(
+            DenseOperator(cols @ rho.matrix @ cols.conj().T), model.labels, SYSTEM
+        ).matrix
+        gaps.append((float(np.abs(via_kraus - via_trace).max()), (1, 1.0, 1.0, t)))
+    return sweeps._largest_gap(gaps)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 5])
+def test_channel_check_equals_a_per_draw_loop(seed):
+    """The partial-trace route, evolved for all 50 draws in one pass, gives
+    the per-draw loop's largest gap to the bit, at the same draw."""
+    assert sweeps._channel_vs_partial_trace(seed) == per_draw_channel_gaps(seed)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from zeno_qfi import channels, zeno
 from zeno_qfi.channels import (
     DilatedEvolution,
+    _evolved_amplitudes,
     build_dephasing_model,
     evolve,
     generator,
@@ -28,9 +29,12 @@ from zeno_qfi.states import (
     ENVIRONMENT,
     SYSTEM,
     StateVector,
+    _system_env_join,
+    _system_env_split,
     basis_state,
     ghz_state,
     plus_state,
+    system_env_matrix,
     tensor_state,
     zero_environment,
 )
@@ -316,7 +320,7 @@ def test_closed_form_dispatch_never_runs_the_loop(monkeypatch):
     """Dilations diagonal in Z_S x X_E take the closed form, so they never
     evolve the register; any other rotation list reaches the collapse
     loop."""
-    monkeypatch.setattr(zeno, "_evolved_amplitudes", no_loop_kernel)
+    monkeypatch.setattr(zeno, "_rotated_by", no_loop_kernel)
     schedule = ZenoSchedule(50, 0.1)
     block = build_dephasing_model(2, 1.0, 1.0)
     for model in (block, interleaved_model(2, 1.0, 1.0), swapped_model()):
@@ -450,13 +454,13 @@ def test_closed_form_factorises_on_large_product_inputs(n):
 )
 def test_lists_outside_the_pair_form_reach_the_loop(monkeypatch, labels, strings):
     calls = []
-    real_kernel = zeno._evolved_amplitudes
+    real_kernel = zeno._rotated_by
 
     def counted_kernel(*args):
         calls.append(args)
         return real_kernel(*args)
 
-    monkeypatch.setattr(zeno, "_evolved_amplitudes", counted_kernel)
+    monkeypatch.setattr(zeno, "_rotated_by", counted_kernel)
     rng = np.random.default_rng(9)
     model = DilatedEvolution(labels, [(1.0, PauliTerm(1.0, s)) for s in strings])
     assert model._pair_form is None
@@ -485,7 +489,7 @@ def test_partial_pairings_stay_on_the_closed_form(monkeypatch, labels, strings):
         args = (model, projector, env0, ZenoSchedule(m, 0.1))
         loop = _survival_by_collapse(*args)
         with monkeypatch.context() as patch:
-            patch.setattr(zeno, "_evolved_amplitudes", no_loop_kernel)
+            patch.setattr(zeno, "_rotated_by", no_loop_kernel)
             closed = survival_probability_exact(*args)
         assert closed == pytest.approx(loop, rel=1e-12, abs=0)
 
@@ -558,39 +562,90 @@ def test_collapse_loop_refuses_an_underflowed_product(m, expected):
 def test_collapse_loop_builds_no_state_per_measurement(monkeypatch):
     """The loop carries the environment vector as an array: the
     ``StateVector``s it builds do not grow with m, and each of the m steps
-    still evolves all 2^n amplitudes of the register by the rotation
-    list."""
+    still evolves all 2^n amplitudes of the register by the whole rotation
+    list, at the angles rate * tau."""
     model = build_dephasing_model(2, 1.0, 0.7)
     projector, env0 = ZenoProjector(ghz_state(2)), zero_environment(2)
     built, evolved = [], []
-    real_init, real_kernel = StateVector.__post_init__, zeno._evolved_amplitudes
+    real_init, real_kernel = StateVector.__post_init__, zeno._rotated_by
 
     def counted_init(self):
         built.append(self)
         real_init(self)
 
-    def counted_kernel(u, amps, t):
-        evolved.append((u, amps.shape, t))
-        return real_kernel(u, amps, t)
+    def counted_kernel(rotations, amps):
+        evolved.append((rotations, amps.shape))
+        return real_kernel(rotations, amps)
 
     monkeypatch.setattr(StateVector, "__post_init__", counted_init)
-    monkeypatch.setattr(zeno, "_evolved_amplitudes", counted_kernel)
+    monkeypatch.setattr(zeno, "_rotated_by", counted_kernel)
+    # The block-first register needs no permutation of its strings.
+    expected = channels._rotations_at(model, 0.2)
     counts = []
     for m in (1, 50):
         built.clear()
         evolved.clear()
         _survival_by_collapse(model, projector, env0, ZenoSchedule(m, 0.2))
         counts.append(len(built))
-        assert evolved == [(model, (2**4,), 0.2)] * m
+        assert [shape for _, shape in evolved] == [(2**4,)] * m
+        assert all(rotations == expected for rotations, _ in evolved)
     assert counts[0] == counts[1]
 
 
 def test_collapse_loop_returns_zero_when_a_step_captures_nothing(monkeypatch):
     """A step whose captured weight is below 1e-300 ends the run with 0.0,
     whatever the weights before it."""
-    monkeypatch.setattr(zeno, "_evolved_amplitudes", lambda u, amps, t: 0.0 * amps)
+    monkeypatch.setattr(zeno, "_rotated_by", lambda rotations, amps: 0.0 * amps)
     model, projector, env0 = one_pair_setup()
     assert _survival_by_collapse(model, projector, env0, ZenoSchedule(3, 0.1)) == 0.0
+
+
+def joined_collapse(u, projector, env0, schedule):
+    """The collapse loop's earlier step, kept as its reference: each step
+    joins psi0 x v into register order, evolves the register with
+    ``_evolved_amplitudes``, splits it back into (system, environment)
+    axes and contracts the system with psi0*."""
+    psi0 = projector.psi0.amplitudes
+    split = system_env_matrix(tensor_state(projector.psi0, env0))
+    probability = 1.0
+    for _ in range(schedule.m):
+        amps = _evolved_amplitudes(u, _system_env_join(split, u.labels), schedule.tau)
+        env_vec = psi0.conj() @ _system_env_split(amps, u.labels)
+        weight = float(np.vdot(env_vec, env_vec).real)
+        if weight < 1e-300:
+            return 0.0
+        probability *= min(weight, 1.0)
+        split = np.outer(psi0, env_vec) / math.sqrt(weight)
+    return probability
+
+
+@settings(derandomize=True, deadline=None, max_examples=40, database=None)
+@given(st.data())
+def test_collapse_loop_equals_the_joined_step_to_the_bit(data):
+    """On random rotation lists in any label order, commuting or not and
+    mostly outside the pair form, the system-first loop gives the joined
+    step's survival bit for bit wherever the joined step contracted psi0*
+    with a C-ordered split.  Where the split was a strided view of the
+    register (the system qubits after the environment's), BLAS summed that
+    contraction in another order, a few ulps a step."""
+    n_sys, n_env = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+    labels = tuple(data.draw(st.permutations((SYSTEM,) * n_sys + (ENVIRONMENT,) * n_env)))
+    strings = data.draw(
+        st.lists(st.text("IXYZ", min_size=len(labels), max_size=len(labels)), max_size=6)
+    )
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    model = DilatedEvolution(
+        labels, [(float(rng.uniform(-2.0, 2.0)), PauliTerm(1.0, s)) for s in strings]
+    )
+    projector = ZenoProjector(random_state(rng, n_sys, SYSTEM))
+    env0 = random_state(rng, n_env, ENVIRONMENT)
+    schedule = ZenoSchedule(data.draw(st.integers(1, 30)), data.draw(st.floats(0.01, 1.0)))
+    loop = _survival_by_collapse(model, projector, env0, schedule)
+    reference = joined_collapse(model, projector, env0, schedule)
+    if _system_env_split(np.empty(2 ** len(labels)), labels).flags.c_contiguous:
+        assert loop == reference
+    else:
+        assert loop == pytest.approx(reference, rel=1e-15 * schedule.m, abs=0)
 
 
 @pytest.mark.parametrize("route", [survival_probability_exact, _survival_by_collapse])
