@@ -230,25 +230,45 @@ def _evolved_columns(labels, rotations, columns: np.ndarray) -> np.ndarray:
     return _rotated_by(rotations, _system_env_join(split, labels))
 
 
+def _kraus_sets(u: DilatedEvolution, times) -> list[KrausSet]:
+    """The Kraus set of ``kraus_from_dilation`` at each time of a 1-D
+    array: the identity columns are evolved for every time in one
+    ``_evolved_columns`` pass, with one angle per time, and each time's
+    operators are read off and pruned as there.  A non-finite time
+    anywhere in the array raises before any is evolved."""
+    times = np.asarray(times, dtype=float)
+    values = times.tolist()
+    for t in values:
+        _check_time(t)
+    d_sys = 2 ** u.labels.count(SYSTEM)
+    identity = np.zeros((len(values), d_sys * d_sys))
+    identity[:, :: d_sys + 1] = 1.0
+    evolved = _evolved_columns(
+        u.labels, _rotations_at(u, times[:, None]), identity.reshape(-1, d_sys, d_sys)
+    )
+    # stacked[r, s, s', l] = <s', l| U(t_r) |s, 0>
+    stacked = _system_env_split(evolved, u.labels)
+    sets = []
+    for t, columns in zip(values, stacked):
+        # K_l = columns[:, :, l].T, for each outcome l in turn.
+        operators = tuple(
+            DenseOperator(mat)
+            for mat in columns.transpose(2, 1, 0)
+            if np.linalg.norm(mat) >= KRAUS_PRUNE_TOL
+        )
+        sets.append(KrausSet(operators, time=t))
+    return sets
+
+
 def kraus_from_dilation(u: DilatedEvolution, t: float) -> KrausSet:
     """Extract Kraus operators K_l = (I_S x <l|_E) U(t) (I_S x |0...0>_E).
 
     Operators are ordered by the environment outcome l; those with
     Frobenius norm below 1e-12 are pruned.  One column is evolved per
     system basis state, so d_S x 2^n amplitudes must fit in the dense
-    budget.
+    budget.  This is the one-time case of ``_kraus_sets``.
     """
-    _check_time(t)
-    d_sys = 2 ** u.labels.count(SYSTEM)
-    # stacked[s, s', l] = <s', l| U |s, 0>
-    evolved = _evolved_columns(u.labels, _rotations_at(u, t), np.eye(d_sys))
-    stacked = _system_env_split(evolved, u.labels)
-    operators = []
-    for l in range(stacked.shape[2]):
-        mat = stacked[:, :, l].T
-        if np.linalg.norm(mat) >= KRAUS_PRUNE_TOL:
-            operators.append(DenseOperator(mat))
-    return KrausSet(tuple(operators), time=float(t))
+    return _kraus_sets(u, [t])[0]
 
 
 def apply_channel(kraus: KrausSet, rho: DenseOperator) -> DenseOperator:

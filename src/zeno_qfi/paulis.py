@@ -7,21 +7,25 @@ i^{n_Y} X^x Z^z, with qubit 0 on the highest bit.
 
 Every Pauli string reaches a state vector through one flip kernel,
 ``_flipped``: seen as a (2,)*n tensor, the state's axes under X and Y are
-reversed, one half of each axis under Z or Y is negated, and the whole is
-scaled by i^{n_Y}.  Which axes and halves is the string's plan
-(``_flip_plan``), read once where a string is applied many times.  It
-costs O(2^n) per string with no index array, and carries registers past
-the dense cap.  The amplitudes may carry leading axes, a stack of vectors
-evolved in one pass, with a scale per leading row.  A sum is applied
-string by string, each added in term order, and a rotation
-exp(-i theta P / 2) is cos(theta/2) - i sin(theta/2) times the kernel's P.
+reversed, and the whole is multiplied once by the string's sign, i^{n_Y}
+times -1 on one half of each axis under Z or Y: a +-1 tensor over those
+axes, exact to multiply by.  Which axes and which sign is the string's
+plan (``_flip_plan``), read once where a string is applied many times.
+It costs one multiply of O(2^n) per string with no index array, and
+carries registers past the dense cap.  The amplitudes may carry leading
+axes, a stack of vectors evolved in one pass, with a scale per leading
+row.  A sum is applied string by string, each added in term order, and a
+rotation exp(-i theta P / 2) is cos(theta/2) - i sin(theta/2) times the
+kernel's P.
 
 A sum whose terms carry one letter per qubit (qubit-wise commuting, as
 every generator the library builds is) also has an eigenframe,
 ``OperatorSum._frame``: a local Clifford, H on its X qubits and H S^dag on
 its Y qubits, makes it diagonal, so its exponential and its action become
-elementwise products there.  The variational solver evolves through it
-and calls no Pauli-string kernel.
+elementwise products there.  The frame depends on the sum's strings only,
+and takes the coefficients as an array with one row per sum, so every sum
+with the same strings shares it.  The variational solver evolves through
+it and calls no Pauli-string kernel.
 """
 
 from __future__ import annotations
@@ -78,8 +82,9 @@ class PauliTerm:
         object.__setattr__(self, "coefficient", complex(self.coefficient))
         if not isfinite(self.coefficient):
             raise ValueError(f"Pauli coefficient must be finite, got {self.coefficient}")
-        if not self.factors or any(c not in PAULI_CHARS for c in self.factors):
-            raise ValueError(f"invalid Pauli factors {self.factors!r}")
+        factors = self.factors
+        if not isinstance(factors, str) or not factors or factors.strip(PAULI_CHARS):
+            raise ValueError(f"invalid Pauli factors {factors!r}")
 
     @property
     def n_qubits(self) -> int:
@@ -132,9 +137,10 @@ class OperatorSum:
     """Weighted sum of Pauli strings.
 
     Construction canonicalizes: duplicate strings are merged, negligible
-    coefficients dropped, and terms sorted by factor string.  Pauli strings
-    are Hermitian, so ``hermitian`` is whether every merged coefficient is
-    real, to ``HERMITICITY_TOL``.
+    coefficients dropped, and terms sorted by factor string; a term whose
+    string occurs once is kept as it is.  Pauli strings are Hermitian, so
+    ``hermitian`` is whether every merged coefficient is real, to
+    ``HERMITICITY_TOL``.
     """
 
     def __init__(self, terms, n_qubits: int | None = None):
@@ -150,13 +156,19 @@ class OperatorSum:
         if n_qubits is not None and n_qubits != n:
             raise DimensionMismatchError("n_qubits does not match the terms")
 
-        merged: dict[str, complex] = {}
+        # Each string's summed coefficient, and its term while it is the
+        # string's only one.
+        merged: dict[str, tuple[complex, PauliTerm | None]] = {}
         for t in terms:
-            merged[t.factors] = merged.get(t.factors, 0.0) + t.coefficient
+            prior = merged.get(t.factors)
+            if prior is None:
+                merged[t.factors] = (t.coefficient, t)
+            else:
+                merged[t.factors] = (prior[0] + t.coefficient, None)
         canonical, hermitian = [], True
-        for factors, c in sorted(merged.items()):
+        for factors, (c, term) in sorted(merged.items()):
             if abs(c) > COEFF_PRUNE_TOL:
-                canonical.append(PauliTerm(c, factors))
+                canonical.append(term or PauliTerm(c, factors))
                 hermitian &= abs(c.imag) <= HERMITICITY_TOL
         self._terms = tuple(canonical)
         self._hermitian = hermitian
@@ -196,32 +208,38 @@ class OperatorSum:
 
 
 _ALL, _REVERSED = slice(None), slice(None, None, -1)
-# Z negates the half of its axis with bit 1; Y the half with bit 0, because
-# its flip has already moved bit 1 there.
-_NEGATED_HALF = {"Z": slice(1, 2), "Y": slice(0, 1)}
 
 
 class _FlipPlan(NamedTuple):
     """The index plan of a unit-coefficient Pauli string on the last n axes
-    of a (..., 2, ..., 2) tensor: their shape (2,)*n, the axes the string
-    reverses (under X and Y), the halves it negates (under Z and Y) and its
-    phase i^{n_Y}."""
+    of a (..., 2, ..., 2) tensor: their shape (2,)*n, the index that
+    reverses the axes under X and Y (None when there are none), and the
+    string's sign.  Z negates the half of its axis with bit 1; Y the half
+    with bit 0, because its flip has moved bit 1 there, and carries a
+    factor i.  So the sign is (-i)^{n_Y} (-1)^{popcount(b)} over the bits b
+    of the k axes under Z or Y: a tensor of 2^k entries, 1 on every other
+    axis (a number when k is 0)."""
 
     tensor: tuple
-    flip: tuple
-    negated: tuple
-    phase: complex
+    flip: tuple | None
+    sign: complex | np.ndarray
 
 
 def _flip_plan(factors: str) -> _FlipPlan:
     n = len(factors)
-    flip = (Ellipsis, *(_REVERSED if ch in "XY" else _ALL for ch in factors))
-    negated = tuple(
-        (Ellipsis, _NEGATED_HALF[ch]) + (_ALL,) * (n - 1 - j)
-        for j, ch in enumerate(factors)
-        if ch in _NEGATED_HALF
-    )
-    return _FlipPlan((2,) * n, flip, negated, 1j ** factors.count("Y"))
+    flip = None
+    if "X" in factors or "Y" in factors:
+        flip = (Ellipsis, *(_REVERSED if ch in "XY" else _ALL for ch in factors))
+    sign = (-1j) ** factors.count("Y")
+    shape = tuple(2 if ch in "ZY" else 1 for ch in factors)
+    if 2 in shape:
+        # Each Z or Y axis doubles the list: its second half, bit 1 on that
+        # axis, takes the opposite sign.
+        signs = [sign]
+        for _ in range(shape.count(2)):
+            signs += [-s for s in signs]
+        sign = np.array(signs).reshape(shape)
+    return _FlipPlan((2,) * n, flip, sign)
 
 
 def _per_row(value, trailing: int):
@@ -238,34 +256,32 @@ def _per_row(value, trailing: int):
 
 def _string_factor(plan: _FlipPlan, scale):
     """The factor ``_flipped`` takes for ``scale`` times the planned string:
-    the scale times the string's phase, a number or, for one scale per
-    leading row, an array that broadcasts against the (2,)*n axes."""
-    return _per_row(scale, len(plan.tensor)) * plan.phase
+    the scale times the string's sign, a number or an array that
+    broadcasts against the (2,)*n axes, with a leading axis for one scale
+    per leading row."""
+    return _per_row(scale, len(plan.tensor)) * plan.sign
 
 
 def _flipped(
     plan: _FlipPlan, amplitudes: np.ndarray, factor, out: np.ndarray | None = None
 ) -> np.ndarray:
     """The flip kernel: the planned string applied to the last axis of the
-    amplitudes, (..., 2^n), by flipping and negating axes of the (2,)*n
-    tensor, times ``factor`` (see ``_string_factor``), written into ``out``
-    when given."""
+    amplitudes, (..., 2^n), by flipping axes of the (2,)*n tensor and one
+    multiply by ``factor``, which holds the string's sign (see
+    ``_string_factor``), written into ``out`` when given."""
     shape = amplitudes.shape[:-1] + plan.tensor
     target = None if out is None else out.reshape(shape)
-    result = np.multiply(amplitudes.reshape(shape)[plan.flip], factor, out=target)
-    for half in plan.negated:
-        view = result[half]
-        np.multiply(view, -1.0, out=view)
-    return result.reshape(amplitudes.shape)
+    tensor = amplitudes.reshape(shape)
+    if plan.flip is not None:
+        tensor = tensor[plan.flip]
+    return np.multiply(tensor, factor, out=target).reshape(amplitudes.shape)
 
 
-def _apply_string(
-    factors: str, amplitudes: np.ndarray, scale, out: np.ndarray | None = None
-) -> np.ndarray:
+def _apply_string(factors: str, amplitudes: np.ndarray, scale) -> np.ndarray:
     """``scale`` times a unit-coefficient Pauli string applied to the last
     axis of the amplitudes, the scale a number or one per leading row."""
     plan = _flip_plan(factors)
-    return _flipped(plan, amplitudes, _string_factor(plan, scale), out)
+    return _flipped(plan, amplitudes, _string_factor(plan, scale))
 
 
 def _rotations(plans, thetas) -> list:
@@ -299,55 +315,75 @@ def _rotate(factors: str, theta, amplitudes: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class _Eigenframe:
-    """A qubit-wise commuting Pauli sum in the basis that diagonalises it.
+    """The basis that diagonalises every qubit-wise commuting Pauli sum
+    with one set of strings, whatever their coefficients.
 
-    Every term carries the same letter on a qubit, ``letters[q]`` ("I"
-    where no term acts).  The local Clifford C, H on the X qubits and
-    H S^dag on the Y qubits, turns each term into a Z string, so C H C^dag
-    is diagonal, with eigenvalues
+    Every string carries the same letter on a qubit, ``letters[q]`` ("I"
+    where no string acts).  The local Clifford C, H on the X qubits and
+    H S^dag on the Y qubits, turns each string into a Z string, so C H C^dag
+    is diagonal for a sum H of them, with eigenvalues
     lambda[j] = sum_k c_k (-1)^{popcount(j & supp_k)} over the real parts
     of the coefficients.  ``windows`` hold C as (first qubit, Kronecker
     factor) pairs over runs of at most ``_FRAME_WINDOW`` qubits.
-    ``components`` split lambda by connected sets of qubits (terms that
-    share a qubit are connected), each shaped to broadcast over the
-    register's (2,)*n axes: lambda is their Kronecker sum and
-    exp(-i tau lambda) the Kronecker product of their exponentials.
+    ``components`` split lambda by connected sets of qubits (strings that
+    share a qubit are connected): each lists its strings as (term index,
+    sign) pairs, the sign (-1)^{popcount(j & supp_k)} shaped to broadcast
+    over the register's (2,)*n axes.  lambda is the Kronecker sum of the
+    components and exp(-i tau lambda) the Kronecker product of their
+    exponentials.  ``spectrum`` forms the components from one row of
+    coefficients per sum, so one frame serves a stack of sums: ``rotated``
+    takes each distinct input once, and each row then takes its own
+    ``evolve`` and ``apply``.
     """
 
     letters: str
     windows: tuple[tuple[int, np.ndarray], ...]
-    components: tuple[np.ndarray, ...]
+    components: tuple[tuple[tuple[int, np.ndarray], ...], ...]
 
-    def apply(self, amplitudes: np.ndarray) -> np.ndarray:
-        """C H C^dag applied to amplitudes given in the frame, the last axis
-        of ``amplitudes``: lambda times them, with lambda summed from its
-        components on each call, so that no 2^n array outlives the call."""
-        tensor = amplitudes.reshape(amplitudes.shape[:-1] + (2,) * len(self.letters))
-        return (tensor * reduce(np.add, self.components)).reshape(amplitudes.shape)
+    def spectrum(self, coefficients: np.ndarray) -> tuple[np.ndarray, ...]:
+        """lambda's components for each row of ``coefficients``, real parts
+        (rows, terms) in term order: each shaped (rows,) and then to
+        broadcast over the (2,)*n axes, summed over its strings in the
+        order ``components`` lists them."""
+        n = len(self.letters)
+        c = coefficients.reshape(coefficients.shape + (1,) * n)
+        spectrum = tuple(
+            reduce(np.add, (c[:, k] * sign for k, sign in members))
+            for members in self.components
+        )
+        # A sum with no terms is the zero operator.
+        return spectrum or (np.zeros((len(coefficients),) + (1,) * n),)
 
-    def evolved(self, amplitudes: np.ndarray, tau) -> np.ndarray:
-        """C exp(-i tau H)|psi> = exp(-i tau lambda) * C|psi> for each
-        vector along the last axis of ``amplitudes``, a new array: C as one
-        matmul per window, the phase as the Kronecker product of the
-        components' exponentials, applied in place.  ``tau`` is one interval
-        or an array of them over the leading axes."""
-        lead, n = amplitudes.shape[:-1], len(self.letters)
-        out = amplitudes
+    def rotated(self, amplitudes: np.ndarray) -> np.ndarray:
+        """C|psi> for each vector along the last axis of ``amplitudes``, by
+        one matmul per window: a new array, or the amplitudes themselves
+        when C is the identity."""
+        lead, out = amplitudes.shape[:-1], amplitudes
         for lo, factor in self.windows:
             rows = out.reshape(lead + (2**lo, len(factor), -1))
             if rows.shape[-1] == 1:
                 out = rows[..., 0] @ factor.T
             else:
                 out = np.matmul(factor, rows)
-        if out is amplitudes:
-            out = amplitudes.copy()
+        return out.reshape(amplitudes.shape)
+
+    def evolve(self, rotated: np.ndarray, tau, spectrum) -> None:
+        """C exp(-i tau H)|psi> = exp(-i tau lambda) * C|psi>, in place on
+        the rows C|psi> of ``rotated``, with ``tau`` one interval or one
+        per row and the phase the Kronecker product of the components'
+        exponentials."""
+        lead, n = rotated.shape[:-1], len(self.letters)
         tau = np.reshape(tau, lead + (1,) * n)
-        phase = reduce(
-            np.multiply, (np.exp(-1j * tau * lam) for lam in self.components)
-        )
-        tensor = out.reshape(lead + (2,) * n)
+        phase = reduce(np.multiply, (np.exp(-1j * tau * lam) for lam in spectrum))
+        tensor = rotated.reshape(lead + (2,) * n)
         tensor *= phase
-        return tensor.reshape(amplitudes.shape)
+
+    def apply(self, amplitudes: np.ndarray, spectrum) -> np.ndarray:
+        """C H C^dag applied to amplitudes given in the frame, the last axis
+        of ``amplitudes``: lambda times them, with lambda summed from its
+        components on each call, so that no 2^n array outlives the call."""
+        tensor = amplitudes.reshape(amplitudes.shape[:-1] + (2,) * len(self.letters))
+        return (tensor * reduce(np.add, spectrum)).reshape(amplitudes.shape)
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -357,8 +393,9 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _qubitwise_frame(op: OperatorSum) -> _Eigenframe | None:
-    """The eigenframe of a sum whose terms carry one letter per qubit, or
-    None when two terms carry different letters on a qubit."""
+    """The eigenframe of the strings of a sum whose terms carry one letter
+    per qubit, or None when two terms carry different letters on a
+    qubit."""
     n, masks = op.n_qubits, [_masks(t.factors) for t in op.terms]
     # The frame's letters are the union of the terms' masks, and a term
     # agrees with them when it is that union restricted to its support.
@@ -378,27 +415,24 @@ def _qubitwise_frame(op: OperatorSum) -> _Eigenframe | None:
             q += 1
     # Terms with overlapping supports share a component, keyed by the
     # union of their support masks.
-    groups: dict[int, list[tuple[int, float]]] = {}
-    for t, (xt, zt) in zip(op.terms, masks):
-        mask, members = xt | zt, [(xt | zt, t.coefficient.real)]
+    groups: dict[int, list[tuple[int, int]]] = {}
+    for k, (xt, zt) in enumerate(masks):
+        mask, members = xt | zt, [(k, xt | zt)]
         for other in [m for m in groups if m & mask]:
             mask |= other
             members += groups.pop(other)
         groups[mask] = members
-    # A component's lambda sums, over its terms, the coefficient times
-    # (1, -1) along each axis of the term's support, multiplied out.
+    # A term's sign is (1, -1) along each axis of its support, multiplied out.
     sign = np.array([1.0, -1.0])
     signs = [sign.reshape((1,) * q + (2,) + (1,) * (n - q - 1)) for q in range(n)]
-    components = []
-    for members in groups.values():
-        lam = 0.0
-        for support, c in members:
-            axes = (signs[q] for q in range(n) if support >> (n - 1 - q) & 1)
-            lam = lam + reduce(np.multiply, axes, c)
-        components.append(lam)
-    # A sum with no terms is the zero operator.
-    components = components or [np.zeros((1,) * n)]
-    return _Eigenframe(letters, tuple(windows), tuple(components))
+    components = tuple(
+        tuple(
+            (k, reduce(np.multiply, (signs[q] for q in range(n) if support >> (n - 1 - q) & 1), 1.0))
+            for k, support in members
+        )
+        for members in groups.values()
+    )
+    return _Eigenframe(letters, tuple(windows), components)
 
 
 def _as_sum(op) -> OperatorSum:
@@ -410,23 +444,19 @@ def _as_sum(op) -> OperatorSum:
     return op
 
 
-def _applied_vector(op, amplitudes: np.ndarray, out=None) -> np.ndarray:
+def _applied_vector(op, amplitudes: np.ndarray) -> np.ndarray:
     """Amplitudes of O|psi> for a PauliTerm or an OperatorSum, applied to
-    the last axis of ``amplitudes`` and written into ``out`` when given,
-    through the flip kernel: the first term is written into the output and
-    each later one added to it in term order."""
+    the last axis of ``amplitudes`` through the flip kernel: each term
+    after the first is added to the first one's output, in term order."""
     op = _as_sum(op)
     if 2**op.n_qubits != amplitudes.shape[-1]:
         raise DimensionMismatchError(
             f"operator on {op.n_qubits} qubits applied to {amplitudes.shape[-1]} amplitudes"
         )
-    if out is None:
-        out = np.empty(amplitudes.shape, dtype=np.complex128)
     if not op.terms:
-        out[:] = 0.0
-        return out
+        return np.zeros(amplitudes.shape, dtype=np.complex128)
     first, *rest = op.terms
-    _apply_string(first.factors, amplitudes, first.coefficient, out)
+    out = _apply_string(first.factors, amplitudes, first.coefficient)
     for t in rest:
         out += _apply_string(t.factors, amplitudes, t.coefficient)
     return out

@@ -20,7 +20,9 @@ one-row case.  The generator is a Pauli sum whose
 terms carry one Pauli letter per qubit, as every generator the library
 builds does: a local Clifford C makes it diagonal, so phi and H_hat phi are
 taken in that eigenframe as elementwise products, and any other generator
-is refused.  No basis element is applied either: the h_k act on the
+is refused.  The frame depends on the generator's strings only: a stack
+reads one frame for each run of generators with the same strings, and
+applies C once to each distinct input of the run.  No basis element is applied either: the h_k act on the
 environment alone, so the quadratic depends on phi only through the two
 d_E x d_E matrices Tr_S |phi><phi| and Tr_S(H_hat |phi><phi|), from which a
 table of the products of two basis strings, built once per basis and
@@ -371,39 +373,75 @@ def _joined(parts) -> np.ndarray:
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
-def _evolved_states(rows):
-    """phi = exp(-i H_hat tau)|psi> and H_hat phi for each row
-    (H_hat, psi, tau), stacked along a leading axis in the eigenframe C of
-    the row's H_hat, and the environment letters the frames share:
-    C phi = exp(-i tau lambda) * C psi and C H_hat phi = lambda * C phi,
-    with no Pauli-string kernel.  Adjacent rows of one generator are
-    evolved by one call.  A sum with two letters on a qubit, which has no
-    such frame, raises ``ValueError`` (the library builds none), and so do
+def _framed(rows):
+    """Each row (H_hat, psi, tau) of a stack paired with the eigenframe of
+    its generator's strings, and the environment letters the frames share.
+    A frame is read once for each run of adjacent rows whose generators
+    have the same strings, from the run's first generator, and serves
+    every row of the run.  A generator that is not a Hermitian
+    OperatorSum raises, and so does a sum with two letters on a qubit,
+    which has no such frame (``ValueError``; the library builds none), and
     frames that differ in their environment letters: their rows cannot
     share one product table."""
-    phis, applied, letters = [], [], set()
-    for _, group in itertools.groupby(rows, key=lambda row: id(row[0])):
-        group = list(group)
-        h_hat, psi_full, _ = group[0]
-        _check_generator(h_hat)
-        if 2**h_hat.n_qubits != psi_full.dim:
-            raise DimensionMismatchError("generator does not match the state register")
-        frame = h_hat._frame
-        if frame is None:
-            raise ValueError("the generator needs one Pauli letter per qubit")
-        env = zip(frame.letters, psi_full.labels)
-        letters.add("".join(f for f, l in env if l is ENVIRONMENT))
-        amplitudes = [psi.amplitudes for _, psi, _ in group]
-        # A lone row is evolved from a view of its state: no copy adds to
-        # the peak of a large register.
-        stack = amplitudes[0][None] if len(group) == 1 else np.stack(amplitudes)
-        phi = frame.evolved(stack, np.array([tau for _, _, tau in group]))
-        del amplitudes, stack
-        phis.append(phi)
-        applied.append(frame.apply(phi))
+    framed, letters = [], set()
+    last = strings = frame = None
+    for row in rows:
+        h_hat, psi_full, _ = row
+        if h_hat is not last:
+            _check_generator(h_hat)
+            if 2**h_hat.n_qubits != psi_full.dim:
+                raise DimensionMismatchError("generator does not match the state register")
+            last, previous = h_hat, strings
+            strings = [t.factors for t in h_hat.terms]
+            if strings != previous:
+                frame = h_hat._frame
+                if frame is None:
+                    raise ValueError("the generator needs one Pauli letter per qubit")
+                env = zip(frame.letters, psi_full.labels)
+                letters.add("".join(f for f, l in env if l is ENVIRONMENT))
+        framed.append((frame, row))
     if len(letters) > 1:
         raise ValueError("the stacked generators must share their environment letters")
-    return _joined(phis), _joined(applied), letters.pop()
+    return framed, letters.pop()
+
+
+def _distinct(objects):
+    """The distinct objects of a list, by identity, in order of first
+    appearance, and the position of each entry among them."""
+    unique, index = {}, []
+    for obj in objects:
+        index.append(unique.setdefault(id(obj), (len(unique), obj))[0])
+    return [obj for _, obj in unique.values()], index
+
+
+def _evolved_states(framed):
+    """phi = exp(-i H_hat tau)|psi> and H_hat phi for each row
+    (H_hat, psi, tau) of ``_framed``, stacked along a leading axis in the
+    eigenframe C of the row's generator: C phi = exp(-i tau lambda) * C psi
+    and C H_hat phi = lambda * C phi, with no Pauli-string kernel.  The
+    adjacent rows of one frame are evolved together: C is applied once to
+    each distinct input among them (one amplitudes object) and gathered
+    to the rows, and each row takes the phase and the action of lambda
+    formed from its own generator's coefficients."""
+    phis, applied = [], []
+    for frame, group in itertools.groupby(framed, key=lambda item: item[0]):
+        rows = [row for _, row in group]
+        inputs, index = _distinct([psi.amplitudes for _, psi, _ in rows])
+        # A lone input is rotated from a view of its state: no copy adds to
+        # the peak of a large register.
+        stack = inputs[0][None] if len(inputs) == 1 else np.stack(inputs)
+        phi = frame.rotated(stack)
+        del stack
+        # Each row evolves its own copy of C psi in place; a new C psi of
+        # inputs that are all distinct is that copy.
+        if not frame.windows or len(index) > len(inputs):
+            phi = phi.take(index, axis=0)
+        reals = np.array([[t.coefficient.real for t in h_hat.terms] for h_hat, _, _ in rows])
+        spectrum = frame.spectrum(reals)
+        frame.evolve(phi, np.array([tau for _, _, tau in rows]), spectrum)
+        phis.append(phi)
+        applied.append(frame.apply(phi, spectrum))
+    return _joined(phis), _joined(applied)
 
 
 def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -411,9 +449,10 @@ def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.array([np.vdot(x, y) for x, y in zip(a, b)])
 
 
-def _normal_equations(basis, rows):
+def _normal_equations(basis, framed, letters):
     """Quadratic forms of Var(H_hat + sum_k c_k h'_k) in the coefficients
-    c, one for each row (H_hat, psi_full, tau) of a stack.
+    c, one for each row (H_hat, psi_full, tau) of a stack, given with its
+    frame and their environment letters as ``_framed`` returns them.
 
     Every h'_k = U^dag h_k U with U = exp(-i H_hat tau), and U commutes
     with H_hat, so each covariance on psi equals the one of H_hat and the
@@ -429,7 +468,7 @@ def _normal_equations(basis, rows):
     with H_hat.  Every per-row array is C-contiguous, so each row meets
     the BLAS calls of a one-row stack and rounds as it would alone.
     """
-    phi, applied, letters = _evolved_states(rows)
+    phi, applied = _evolved_states(framed)
     h_mean = _dots(phi, applied).real
     h_variance = _dots(applied, applied).real - h_mean**2
     phi_mat = _system_env_split(phi, basis.labels)
@@ -514,12 +553,15 @@ _STACK_BUDGET = 2**14
 
 def _minimize_rows(basis: EnvOperatorBasis, rows) -> _Minima:
     """``minimize_qfi_bound`` for each row (H_hat, psi_full, tau) on one
-    basis, as a stack: the rows of one generator are evolved together and
-    everything after the evolution is one batched computation, in chunks
-    of rows that stay within ``_STACK_BUDGET``.  Every generator must have
-    the same eigenframe letters on the environment, as all of one basis's
-    rows share its product table.  Each row's values equal a one-row
-    solve's to the bit (see ``_normal_equations``)."""
+    basis, as a stack: the rows are paired with their frames first, one
+    frame for each run of generators with the same strings however many
+    chunks it spans (``_framed``), the rows of one frame are evolved
+    together, and everything after the evolution is one batched
+    computation, in chunks of rows that stay within ``_STACK_BUDGET``.
+    Every generator must have the same eigenframe letters on the
+    environment, as all of one basis's rows share its product table.  Each
+    row's values equal a one-row solve's to the bit (see
+    ``_normal_equations``)."""
     rows = list(rows)
     for _, psi_full, tau in rows:
         if not isfinite(tau):
@@ -529,8 +571,9 @@ def _minimize_rows(basis: EnvOperatorBasis, rows) -> _Minima:
     d_env = 2 ** basis.labels.count(ENVIRONMENT)
     per_row = max(2 ** len(basis.labels), basis._table_rows * d_env)
     step = max(1, _STACK_BUDGET // per_row)
+    framed, letters = _framed(rows)
     parts = [
-        _solve(*_normal_equations(basis, rows[i : i + step]))
+        _solve(*_normal_equations(basis, framed[i : i + step], letters))
         for i in range(0, len(rows), step)
     ]
     return _Minima(*(_joined(field) for field in zip(*parts)))

@@ -158,7 +158,8 @@ def _system_env_join(split: np.ndarray, labels: tuple[Subsystem, ...]) -> np.nda
     for the system-block-first layout of a contiguous array, else a copy."""
     n, lead = len(labels), split.shape[:-2]
     k = len(lead)
-    axes = (*range(k), *(k + a for a in np.argsort(_system_env_axes(labels))))
+    inverse = sorted(range(n), key=_system_env_axes(labels).__getitem__)
+    axes = (*range(k), *(k + a for a in inverse))
     tensor = split.reshape(lead + (2,) * n).transpose(axes)
     return tensor.reshape(lead + (2**n,))
 

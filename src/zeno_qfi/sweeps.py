@@ -23,6 +23,7 @@ import numpy as np
 from .channels import (
     DilatedEvolution,
     _evolved_amplitudes,
+    _kraus_sets,
     apply_channel,
     build_dephasing_model,
     generator,
@@ -278,11 +279,11 @@ def _relative_gaps(grid, taus, inputs):
 
     ``inputs(n)`` lists (system state, reference) pairs at N, each state
     paired with |0...0>_E.  The reference is a closed form of the
-    ``AnalyticParams``, or None for the SLD oracle.  Each run of grid
-    points with one N is one stacked solve, whose rows (generator, state,
-    tau) cover every rate pair, interval and input of the run, on the basis
-    and full states built once for it, and its SLD references are one
-    stack of ``_sld_rows``.
+    ``AnalyticParams``, built only where an input has one, or None for the
+    SLD oracle.  Each run of grid points with one N is one stacked solve,
+    whose rows (generator, state, tau) cover every rate pair, interval and
+    input of the run, on the basis and full states built once for it, and
+    its SLD references are one stack of ``_sld_rows``.
     """
     for n, points in itertools.groupby(grid, key=lambda point: point[0]):
         pairs = inputs(n)
@@ -291,11 +292,13 @@ def _relative_gaps(grid, taus, inputs):
         points = list(points)
         models = [build_dephasing_model(*point) for point in points]
         basis = EnvOperatorBasis.single_qubit_paulis(models[0].labels)
+        closed_form = any(reference is not None for _, reference in pairs)
         rows, oracle_rows, references, at = [], [], [], []
         for model, (_, omega0, gamma) in zip(models, points):
             h_hat = generator(model)
             for tau in taus:
-                p = AnalyticParams(n=n, omega0=omega0, gamma=gamma, tau=tau)
+                if closed_form:
+                    p = AnalyticParams(n=n, omega0=omega0, gamma=gamma, tau=tau)
                 for full, (system, reference) in zip(fulls, pairs):
                     rows.append((h_hat, full, tau))
                     if reference is None:
@@ -486,7 +489,8 @@ def _channel_vs_partial_trace(seed: int) -> tuple[float, tuple]:
     times = np.array([t for _, t in draws])
     # The environment starts in |0>, so U rho U^dag on the register needs
     # only the columns U|s,0>: it is cols rho cols^dag.  Both columns are
-    # evolved for every draw's time in one pass.
+    # evolved for every draw's time in one pass, and so are the Kraus
+    # sets' columns, by their own route.
     env0 = zero_environment(1)
     embedded = np.stack(
         [tensor_state(basis_state(s, (SYSTEM,)), env0).amplitudes for s in range(2)]
@@ -495,8 +499,8 @@ def _channel_vs_partial_trace(seed: int) -> tuple[float, tuple]:
     cols = np.swapaxes(_evolved_amplitudes(model, rows, times[:, None]), 1, 2)
     full = cols @ np.stack([rho.matrix for rho, _ in draws]) @ np.swapaxes(cols.conj(), 1, 2)
     gaps = []
-    for (rho, t), register in zip(draws, full):
-        via_kraus = apply_channel(kraus_from_dilation(model, t), rho).matrix
+    for (rho, t), register, kraus in zip(draws, full, _kraus_sets(model, times)):
+        via_kraus = apply_channel(kraus, rho).matrix
         via_trace = partial_trace(DenseOperator(register), model.labels, SYSTEM).matrix
         gaps.append((float(np.abs(via_kraus - via_trace).max()), (1, 1.0, 1.0, t)))
     return _largest_gap(gaps)

@@ -6,6 +6,7 @@ from zeno_qfi.channels import (
     KrausSet,
     _evolved_amplitudes,
     _evolved_columns,
+    _kraus_sets,
     _rotations_at,
     apply_channel,
     build_dephasing_model,
@@ -464,3 +465,35 @@ def test_kraus_and_evolved_columns_equal_per_column_evolve(model):
     assert len(kraus.operators) == len(expected)
     for op, k in zip(kraus.operators, expected):
         assert np.array_equal(op.matrix, k)
+
+
+@pytest.mark.parametrize("model", [build_dephasing_model(1, 1.0, 1.0), *stack_models()])
+def test_kraus_sets_equal_per_time_extraction(model):
+    """The Kraus sets of a time array, evolved in one pass, equal one
+    ``kraus_from_dilation`` call per time to the bit: the same operators,
+    pruned alike, the same residual and time.  On the one-pair model
+    gamma t = 2 pi leaves sin(gamma t / 2) at rounding, so K_1 is pruned at
+    that time only."""
+    times = [0.3, 2 * np.pi, -1.7, 0.0, 5.2]
+    sets = _kraus_sets(model, np.array(times))
+    assert len(sets) == len(times)
+    for kraus, t in zip(sets, times, strict=True):
+        one = kraus_from_dilation(model, t)
+        assert (kraus.time, kraus.completeness_residual) == (one.time, one.completeness_residual)
+        assert len(kraus.operators) == len(one.operators)
+        for a, b in zip(kraus.operators, one.operators):
+            assert np.array_equal(a.matrix, b.matrix)
+    if model.n_qubits == 2:
+        assert [len(k.operators) for k in sets] == [2, 1, 2, 1, 2]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_kraus_sets_refuse_a_non_finite_time_anywhere(bad):
+    model = build_dephasing_model(1, 1.0, 1.0)
+    for position in range(3):
+        times = [0.2, 0.4, 0.6]
+        times[position] = bad
+        with pytest.raises(ValueError, match="must be finite"):
+            _kraus_sets(model, np.array(times))
+    with pytest.raises(ValueError, match="must be finite"):
+        kraus_from_dilation(model, bad)

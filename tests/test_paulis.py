@@ -16,7 +16,10 @@ from zeno_qfi.paulis import (
     PauliTerm,
     _apply_string,
     _applied_vector,
+    _flip_plan,
+    _flipped,
     _rotate,
+    _string_factor,
     apply_operator,
     pauli_product,
     pauli_rotation_apply,
@@ -191,28 +194,6 @@ def test_applied_vector_of_empty_sum_is_zero():
         assert out.shape == v.shape and not out.any()
 
 
-@pytest.mark.parametrize("n", [1, 4, 8, 9, 10])
-def test_applied_vector_into_a_row_of_a_buffer(n):
-    """Written into one row of a preallocated (k, 2^n) array, as the SLD
-    oracle does, a sum of no, one or several terms gives the values of a
-    fresh call to the last bit and leaves the other rows untouched."""
-    rng = np.random.default_rng(41 + n)
-    v = random_state(rng, n).amplitudes
-    several = OperatorSum(
-        random_operator(rng, n, hermitian=False).terms
-        + random_operator(rng, n, hermitian=False).terms
-    )
-    assert len(several.terms) >= 2
-    one = OperatorSum(several.terms[:1])
-    for op in (OperatorSum((), n_qubits=n), one, several):
-        buf = rng.normal(size=(3, 2**n)) + 1j * rng.normal(size=(3, 2**n))
-        before = buf.copy()
-        returned = _applied_vector(op, v, out=buf[1])
-        assert np.shares_memory(returned, buf[1])
-        assert np.array_equal(buf[1], _applied_vector(op, v))
-        assert np.array_equal(buf[[0, 2]], before[[0, 2]])
-
-
 def test_mutually_commuting_flag():
     zi, zx, xx = (PauliTerm(1.0, f) for f in ("ZI", "ZX", "XX"))
     assert OperatorSum([zi, zx]).mutually_commuting
@@ -329,9 +310,29 @@ def test_non_finite_coefficient_is_refused(value):
         OperatorSum([PauliTerm(0.5, "ZX"), PauliTerm(value, "ZI")])
 
 
+@pytest.mark.parametrize("factors", [["Z", "I"], ("Z", "I"), "", "ZA", " Z", b"ZI"])
+def test_factors_that_are_not_a_pauli_string_are_refused(factors):
+    """A list or a tuple of letters, bytes, an empty string and a string
+    with a letter outside IXYZ are refused at construction, before any
+    sum hashes or parses them."""
+    with pytest.raises(ValueError, match="invalid Pauli factors"):
+        PauliTerm(1.0, factors)
+
+
 def test_operator_sum_merges_duplicates():
     op = OperatorSum([PauliTerm(0.5, "ZX"), PauliTerm(0.25, "ZX")])
     assert op.terms == (PauliTerm(0.75, "ZX"),)
+
+
+def test_operator_sum_keeps_the_terms_it_does_not_merge():
+    """A term whose string occurs once is kept as the same object; merged
+    and pruned strings are not."""
+    lone, twice = PauliTerm(0.5, "ZX"), PauliTerm(0.25, "IX")
+    tiny = PauliTerm(1e-16, "XI")
+    op = OperatorSum([twice, lone, tiny, PauliTerm(0.5, "IX")])
+    assert [t.factors for t in op.terms] == ["IX", "ZX"]
+    assert op.terms[1] is lone and op.terms[0] is not twice
+    assert op.terms[0].coefficient == 0.75
 
 
 def test_operator_sum_rejects_complex_hermitian_coefficients():
@@ -475,6 +476,47 @@ def test_stacked_kernel_equals_a_per_row_loop(factors):
     block = rng.normal(size=(5, 3, 2**n)) + 1j * rng.normal(size=(5, 3, 2**n))
     looped = [[_rotate(factors, float(t), a) for a in row] for row, t in zip(block, thetas)]
     assert np.array_equal(_rotate(factors, thetas[:, None], block), looped)
+
+
+def negating_kernel(factors, amplitudes, factor):
+    """The flip kernel as it was before its negations were folded into one
+    sign: reverse the axes under X and Y, multiply by the factor times
+    i^{n_Y}, then negate the half with bit 1 of each Z axis and the half
+    with bit 0 of each Y axis, one half at a time."""
+    n = len(factors)
+    tensor = amplitudes.reshape(amplitudes.shape[:-1] + (2,) * n)
+    flip = (Ellipsis, *(slice(None, None, -1) if ch in "XY" else slice(None) for ch in factors))
+    result = tensor[flip] * (factor * 1j ** factors.count("Y"))
+    for j, ch in enumerate(factors):
+        if ch in "ZY":
+            half = (Ellipsis, slice(1, 2) if ch == "Z" else slice(0, 1)) + (slice(None),) * (n - 1 - j)
+            result[half] *= -1.0
+    return result.reshape(amplitudes.shape)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_flip_kernel_equals_the_per_half_negation_kernel(seed):
+    """One multiply by the string's sign gives, to the bit, what negating
+    one half-axis per Z or Y letter gave: on random strings of 1 to 7
+    qubits, with no, one or two leading axes, and a scale that is a number
+    or one per leading row."""
+    rng = np.random.default_rng(seed)
+    for _ in range(40):
+        n = int(rng.integers(1, 8))
+        factors = "".join(rng.choice(list("IXYZ"), n))
+        lead = tuple(int(k) for k in rng.integers(1, 4, int(rng.integers(0, 3))))
+        amps = rng.normal(size=lead + (2**n,)) + 1j * rng.normal(size=lead + (2**n,))
+        if lead and rng.random() < 0.5:
+            scale = rng.normal(size=lead) + 1j * rng.normal(size=lead)
+            reference_factor = scale.reshape(lead + (1,) * n)
+        else:
+            scale = reference_factor = complex(rng.normal(), rng.normal())
+        plan = _flip_plan(factors)
+        got = _flipped(plan, amps, _string_factor(plan, scale))
+        expected = negating_kernel(factors, amps, reference_factor)
+        assert np.array_equal(got, expected), factors
+        assert (plan.flip is None) == ("X" not in factors and "Y" not in factors)
+        assert np.size(plan.sign) == 2 ** sum(ch in "ZY" for ch in factors)
 
 
 def test_a_stack_of_one_row_equals_the_unstacked_call():

@@ -27,6 +27,7 @@ from zeno_qfi.qfi import (
     EnvOperatorBasis,
     VariationalSolution,
     _bound_at,
+    _framed,
     _normal_equations,
     _sld_information,
     conjugate_env_operator,
@@ -72,7 +73,7 @@ def minimize_by_gradient_descent(
 ):
     """Oracle: plain gradient descent on the solver's own quadratic, so only
     the solve differs from minimize_qfi_bound."""
-    (h_variance,), (gram,), (cross,) = _normal_equations(basis, [(h_hat, psi_full, tau)])
+    (h_variance,), (gram,), (cross,) = _normal_equations(basis, *_framed([(h_hat, psi_full, tau)]))
     scale = max(float(np.abs(gram).max()), 1.0)
     coeff = np.zeros(len(cross))
     for _ in range(steps):
@@ -361,7 +362,7 @@ def assert_solver_matches_reference(h_hat, basis, psi, tau, reference, rng):
     """The solver's G, b and bound equal the reference to 1e-12, at random
     coefficients and at its own, and its G is exactly symmetric."""
     gram, cross, bound = reference
-    (got_variance,), (got_gram,), (got_cross,) = _normal_equations(basis, [(h_hat, psi, tau)])
+    (got_variance,), (got_gram,), (got_cross,) = _normal_equations(basis, *_framed([(h_hat, psi, tau)]))
     assert np.array_equal(got_gram, got_gram.T)
     np.testing.assert_allclose(got_gram, gram, rtol=0, atol=1e-12)
     np.testing.assert_allclose(got_cross, cross, rtol=0, atol=1e-12)
@@ -656,7 +657,7 @@ def test_solver_equals_hermitian_svd_pseudo_inverse(kind, n, input_state):
     model, h_hat = model_setup(n, 1.0, 0.9)
     basis = getattr(EnvOperatorBasis, kind)(model.labels)
     psi = input_state(n)
-    _, (gram,), (cross,) = _normal_equations(basis, [(h_hat, psi, 0.5)])
+    _, (gram,), (cross,) = _normal_equations(basis, *_framed([(h_hat, psi, 0.5)]))
     u, s, vt = np.linalg.svd(gram, hermitian=True)
     kept = s > GRAM_CUTOFF * s[0]
     inv = np.where(kept, 1.0 / np.where(kept, s, 1.0), 0.0)
@@ -1191,6 +1192,62 @@ def test_stack_with_mixed_environment_letters_raises():
         minimize_qfi_bound(h_hat, basis, psi, 0.5)
     with pytest.raises(ValueError, match="environment letters"):
         qfi._minimize_rows(basis, [(x_env, psi, 0.5), (z_env, psi, 0.5)])
+
+
+def test_a_stack_reads_one_frame_per_run_of_strings(monkeypatch):
+    """The largest stack of ``verify``, 9 rate pairs x 3 intervals x 2
+    inputs at N = 4, spans several chunks and builds one eigenframe, as
+    every generator has the same strings; in each chunk the frame's
+    Clifford goes over the 2 distinct inputs once."""
+    frames, rotated = [], []
+    build, rotate = paulis._qubitwise_frame, paulis._Eigenframe.rotated
+    monkeypatch.setattr(paulis, "_qubitwise_frame", lambda op: frames.append(op) or build(op))
+    monkeypatch.setattr(
+        paulis._Eigenframe, "rotated", lambda self, amps: rotated.append(len(amps)) or rotate(self, amps)
+    )
+    rates, inputs = (0.5, 1.0, 1.2), (ghz_input(4), product_input(4))
+    rows = [
+        (generator(build_dephasing_model(4, omega0, gamma)), psi, tau)
+        for omega0 in rates
+        for gamma in rates
+        for tau in (0.1, 0.5, 1.0)
+        for psi in inputs
+    ]
+    basis = EnvOperatorBasis.single_qubit_paulis(inputs[0].labels)
+    solved = qfi._minimize_rows(basis, rows)
+    assert len(frames) == 1
+    assert len(rotated) > 1 and set(rotated) == {2}
+    for value, (h_hat, psi, tau) in zip(solved.qfi, rows[:6]):
+        assert value == minimize_qfi_bound(h_hat, basis, psi, tau).qfi
+
+
+def test_a_stack_with_a_pruned_string_equals_one_row_solves():
+    """omega0 = 0 prunes the generator's Z strings and keeps its
+    environment letters: in a stack with full generators it forms its own
+    run with its own frame, and every row equals its one-row solve to the
+    bit.  gamma = 0 prunes the coupling strings, and with them the X
+    letters of the environment, so a stack that mixes it with full rows
+    raises."""
+    full = [generator(build_dephasing_model(2, *rates)) for rates in ((0.9, 1.3), (1.1, 0.7))]
+    pruned = generator(build_dephasing_model(2, 0.0, 1.3))
+    assert len(pruned.terms) < len(full[0].terms)
+    inputs = (ghz_input(2), product_input(2))
+    rows = [
+        (h_hat, psi, tau)
+        for h_hat in (full[0], pruned, full[1])
+        for tau in (0.3, 0.8)
+        for psi in inputs
+    ]
+    basis = EnvOperatorBasis.single_qubit_paulis(inputs[0].labels)
+    stacked = qfi._minimize_rows(basis, rows)
+    for i, row in enumerate(rows):
+        one = minimize_qfi_bound(row[0], basis, *row[1:])
+        assert np.array_equal(stacked.coefficients[i], one.coefficients)
+        assert (stacked.qfi[i], stacked.rank[i]) == (one.qfi, one.rank)
+        assert (stacked.gram_condition[i], stacked.residual[i]) == (one.gram_condition, one.residual)
+    dephased = generator(build_dephasing_model(2, 0.9, 0.0))
+    with pytest.raises(ValueError, match="environment letters"):
+        qfi._minimize_rows(basis, [rows[0], (dephased, *rows[0][1:])])
 
 
 def test_solution_fields_are_python_numbers():

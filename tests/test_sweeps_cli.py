@@ -930,3 +930,34 @@ def test_channel_check_equals_a_per_draw_loop(seed):
     """The partial-trace route, evolved for all 50 draws in one pass, gives
     the per-draw loop's largest gap to the bit, at the same draw."""
     assert sweeps._channel_vs_partial_trace(seed) == per_draw_channel_gaps(seed)
+
+
+def test_channel_check_evolves_the_kraus_columns_of_its_draws_in_one_pass(monkeypatch):
+    """The Kraus route takes the sets of all 50 draws from one
+    ``_evolved_columns`` pass over the draws' times."""
+    from zeno_qfi import channels
+
+    shapes, real = [], channels._evolved_columns
+    monkeypatch.setattr(
+        channels,
+        "_evolved_columns",
+        lambda labels, rotations, columns: shapes.append(columns.shape) or real(labels, rotations, columns),
+    )
+    sweeps._channel_vs_partial_trace(0)
+    assert shapes == [(50, 2, 2)]
+
+
+def test_gaps_build_closed_form_parameters_only_for_closed_form_references(monkeypatch):
+    """The checks against the SLD oracle build no ``AnalyticParams``; the
+    check against the closed forms builds one per rate pair and interval,
+    shared by its two inputs."""
+    built = []
+    monkeypatch.setattr(
+        sweeps, "AnalyticParams", lambda **kwargs: built.append(kwargs) or AnalyticParams(**kwargs)
+    )
+    for check in (sweeps._solver_vs_sld, sweeps._ansatz_bounds_true_qfi):
+        check(0)
+    assert built == []
+    grid = [(n, 1.0, gamma) for n in (1, 2) for gamma in (0.5, 1.2)]
+    sweeps._solver_vs_closed_form(grid, (0.1, 0.5, 1.0))
+    assert len(built) == len(grid) * 3

@@ -588,8 +588,22 @@ def test_collapse_loop_builds_no_state_per_measurement(monkeypatch):
         _survival_by_collapse(model, projector, env0, ZenoSchedule(m, 0.2))
         counts.append(len(built))
         assert [shape for _, shape in evolved] == [(2**4,)] * m
-        assert all(rotations == expected for rotations, _ in evolved)
+        assert all(same_rotations(rotations, expected) for rotations, _ in evolved)
     assert counts[0] == counts[1]
+
+
+def same_rotations(a, b) -> bool:
+    """Whether two rotation lists of ``paulis._rotations`` hold equal
+    entries: their plans, cosines and flip factors, whose arrays are
+    compared by value."""
+
+    def fields(rotations):
+        return [x for plan, cos, factor in rotations for x in (*plan, cos, factor)]
+
+    return len(a) == len(b) and all(
+        np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y
+        for x, y in zip(fields(a), fields(b))
+    )
 
 
 def test_collapse_loop_returns_zero_when_a_step_captures_nothing(monkeypatch):
